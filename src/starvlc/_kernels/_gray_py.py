@@ -1,4 +1,5 @@
-"""Pure-Python Gray-code vertex enumeration (fallback kernel).
+"""Pure-Python Gray-code vertex enumeration, the reference the tests hold
+the numpy kernel to.
 
 Walks all 2^N binary coefficient vectors in binary-reflected Gray order so
 each step flips a single coordinate, letting the two effective gains be

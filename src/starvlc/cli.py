@@ -7,9 +7,9 @@ Config files are flat key-value text with dotted keys, e.g.
     source.half_angle_deg = 60.0
 
 Angles are in degrees; all other quantities are SI (meters, watts, m^2).
-Missing keys fall back to the default simulation parameters (default room:
-5 x 5 x 3 m rooms, AP on the room-1 ceiling, 10 x 8 panel in the wall
-between the rooms).
+Unknown keys are rejected; missing keys fall back to the default simulation
+parameters (default room: 5 x 5 x 3 m rooms, AP on the room-1 ceiling,
+10 x 8 panel in the wall between the rooms).
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ except PackageNotFoundError:
     TOOL_VERSION = "unknown"
 
 SWEEP_PARAMETERS = ("ue1_x", "ue2_x", "ap_x", "element_count", "power_both")
+SWEEP_KEYS = ("sweep.parameter", "sweep.start", "sweep.stop", "sweep.steps",
+              "sweep.objective", "sweep.scheme", "sweep.mode", "sweep.oracle_check")
 
 
 class ConfigError(ValueError):
@@ -88,19 +90,30 @@ def parse_kv_file(path) -> dict:
     return entries
 
 
+def _reject_unknown_keys(keys, known) -> None:
+    """Raise ConfigError for the first key not in `known`, naming the
+    closest known key, so a typo cannot fall back to a default silently."""
+    for key in keys:
+        if key not in known:
+            import difflib  # imported here to keep it out of every start-up
+
+            close = difflib.get_close_matches(key, known, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ConfigError(f"unknown config key {key!r}{hint}")
+
+
 def _scenario_from_entries(entries: dict, base: Scenario | None = None) -> Scenario:
+    """Scenario from config entries over `base` (default: the built-in one).
+
+    `sweep.*` keys are left to `load_sweep_spec`; any other key that is not
+    a scenario key is a ConfigError.
+    """
     sc = base or default_scenario()
-    known = {
-        "ap.position", "ap.normal", "ue1.position", "ue1.normal",
-        "ue2.position", "ue2.normal", "ris.center", "ris.rows", "ris.cols",
-        "ris.pitch", "ris.normal", "source.half_angle_deg", "detector.area",
-        "detector.fov_deg", "detector.gain", "detector.responsivity",
-        "power.ue1", "power.ue2", "noise.variance",
-    }
-    scenario_keys = {k: v for k, v in entries.items() if k in known}
+    _reject_unknown_keys([k for k in entries if not k.startswith("sweep.")],
+                         list(scenario_entries(sc)))
 
     def get(key, default):
-        return scenario_keys.get(key, default)
+        return entries.get(key, default)
 
     try:
         return Scenario(
@@ -197,6 +210,7 @@ class SweepSpec:
 def load_sweep_spec(path) -> SweepSpec:
     entries = parse_kv_file(path)
     scenario = _scenario_from_entries(entries)
+    _reject_unknown_keys([k for k in entries if k.startswith("sweep.")], SWEEP_KEYS)
     try:
         parameter = entries["sweep.parameter"]
         start = float(entries["sweep.start"])
@@ -262,18 +276,18 @@ def no_ris_rate_ue1(scenario: Scenario) -> float:
     return rate(s1 / scenario.noise_variance)
 
 
-def _solve_point(scenario: Scenario, spec: SweepSpec, config: SpcaConfig):
-    """Returns (rates, iterations, converged, beta)."""
-    ch = channel_set(scenario)
-    if spec.objective is Objective.TIME_SHARING:
-        res = time_sharing_optimize(ch, scenario, spec.scheme, config)
-    elif spec.objective is Objective.MAX_MIN:
-        res = max_min_optimize(ch, scenario, spec.scheme, config)
-    elif spec.mode == "ms":
-        res = mode_switching_optimize(ch, scenario, spec.scheme, config)
-    else:
-        res = spca_optimize(ch, scenario, spec.scheme, config)
-    return res.rates, res.iterations, res.converged, res.beta, ch
+def _solve(channels, scenario: Scenario, scheme: DetectorScheme, objective: Objective,
+           mode: str, config: SpcaConfig):
+    """Run the solver for `objective`; `mode` ("es" or "ms") selects between
+    continuous and binary coefficients for the sum rate. Returns its
+    SpcaResult or TimeSharingResult."""
+    if objective is Objective.TIME_SHARING:
+        return time_sharing_optimize(channels, scenario, scheme, config)
+    if objective is Objective.MAX_MIN:
+        return max_min_optimize(channels, scenario, scheme, config)
+    if mode == "ms":
+        return mode_switching_optimize(channels, scenario, scheme, config)
+    return spca_optimize(channels, scenario, scheme, config)
 
 
 SWEEP_HEADER = ["swept_value", "r1", "r2", "sum_rate", "ee", "iters",
@@ -318,8 +332,10 @@ def run_sweep(spec: SweepSpec, out_dir, config: SpcaConfig | None = None,
     for value in values:
         scenario = scenario_at(spec, value)
         t0 = time.perf_counter()
-        rates, iters, converged, _beta, ch = _solve_point(scenario, spec, config)
+        ch = channel_set(scenario)
+        result = _solve(ch, scenario, spec.scheme, spec.objective, spec.mode, config)
         elapsed = time.perf_counter() - t0
+        rates, iters, converged = result.rates, result.iterations, result.converged
         all_converged = all_converged and converged
         oracle_sum = ""
         oracle_gap = ""
@@ -347,18 +363,20 @@ def run_sweep(spec: SweepSpec, out_dir, config: SpcaConfig | None = None,
     return all_converged
 
 
+def _write_beta(beta: np.ndarray, panel, out_path) -> np.ndarray:
+    """Write `beta` as the panel's rows x cols reflection matrix in CSV."""
+    matrix = beta.reshape(panel.rows, panel.cols)
+    with open(out_path, "w", newline="") as fh:
+        csv.writer(fh).writerows([repr(float(v)) for v in row] for row in matrix)
+    return matrix
+
+
 def dump_beta(scenario: Scenario, scheme: DetectorScheme, out_path,
               config: SpcaConfig | None = None, mode: str = "es") -> np.ndarray:
     """Solve the scenario and write the rows x cols reflection matrix as CSV."""
     ch = channel_set(scenario)
-    solver = mode_switching_optimize if mode == "ms" else spca_optimize
-    result = solver(ch, scenario, scheme, config or SpcaConfig())
-    matrix = result.beta.reshape(scenario.panel.rows, scenario.panel.cols)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
-    return matrix
+    result = _solve(ch, scenario, scheme, Objective.SUM_RATE, mode, config or SpcaConfig())
+    return _write_beta(result.beta, scenario.panel, out_path)
 
 
 def _add_common(parser):
@@ -403,11 +421,8 @@ def _cmd_solve(args) -> int:
     scenario = _load_or_default(args.scenario)
     ch = channel_set(scenario)
     scheme = DetectorScheme(args.scheme)
-    config = SpcaConfig()
-    spec_like = SweepSpec(parameter="ue1_x", start=0.0, stop=1.0, steps=2,
-                          scenario=scenario, objective=Objective(args.objective),
-                          scheme=scheme, mode=args.mode)
-    rates, iters, converged, beta, _ = _solve_point(scenario, spec_like, config)
+    result = _solve(ch, scenario, scheme, Objective(args.objective), args.mode, SpcaConfig())
+    rates, iters, converged = result.rates, result.iterations, result.converged
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "solution.csv", "w", newline="") as fh:
@@ -417,11 +432,7 @@ def _cmd_solve(args) -> int:
         writer.writerow([repr(rates.r1), repr(rates.r2), repr(rates.sum), ee,
                          iters, int(converged)])
     if args.objective == "sum" and scenario.panel.rows * scenario.panel.cols:
-        matrix = beta.reshape(scenario.panel.rows, scenario.panel.cols)
-        with open(out / "beta.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in matrix:
-                writer.writerow([repr(float(v)) for v in row])
+        _write_beta(result.beta, scenario.panel, out / "beta.csv")
     manifest = {f"scenario.{k}": v for k, v in scenario_entries(scenario).items()}
     manifest.update({"scheme": scheme.value, "mode": args.mode,
                      "objective": args.objective, "tool.version": TOOL_VERSION,

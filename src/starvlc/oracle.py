@@ -1,5 +1,6 @@
-"""Ground-truth solvers for small panels: exhaustive binary vertex
-enumeration and per-coordinate sum-rate scans."""
+"""Ground-truth solvers for small panels: exhaustive enumeration of every
+binary coefficient vector, in numpy blocks, and per-coordinate sum-rate
+scans."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from ._kernels import enumerate_vertices
 from .channel import ChannelSet, Scenario
 from .link import DetectorScheme, RatePair, rate_pair, sum_rate
 
-# 2^24 ~ 16M incremental evaluations: seconds with the compiled kernel.
+# 2^24 ~ 16M vertex evaluations: a few tenths of a second per call.
 MAX_ENUM_ELEMENTS = 24
 
 

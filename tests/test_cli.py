@@ -102,6 +102,13 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             load_sweep_spec(path)
 
+    def test_unknown_sweep_key(self, tmp_path):
+        path = tmp_path / "sweep.txt"
+        path.write_text("sweep.parameter = ue1_x\nsweep.start = 3.0\n"
+                        "sweep.stop = 4.5\nsweep.steps = 4\nsweep.oracle_chek = True\n")
+        with pytest.raises(ConfigError, match="sweep.oracle_check"):
+            load_sweep_spec(path)
+
     def test_validation(self):
         sc = default_scenario()
         with pytest.raises(ConfigError):
@@ -256,3 +263,10 @@ class TestCliEntry:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = main(["solve", "--scenario", str(tmp_path / "nope.txt")])
         assert code == 1
+
+    def test_unknown_key_exit_code(self, tmp_path, capsys):
+        typo = tmp_path / "typo.txt"
+        typo.write_text("ris.row = 2\n")
+        code = main(["solve", "--scenario", str(typo), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "ris.rows" in capsys.readouterr().err
