@@ -163,20 +163,22 @@ def _relay_gains(scenario: Scenario, ue: OrientedPoint, elements: np.ndarray) ->
     return gains
 
 
-def h_reflect(scenario: Scenario, element_index: int) -> float:
-    """Relayed gain UE1 -> element -> AP for one element."""
+def _element_gain(scenario: Scenario, ue: OrientedPoint, element_index: int) -> float:
+    """Relayed gain ue -> element -> AP for one element."""
     elements = build_ris_grid(scenario.panel)
     if not 0 <= element_index < elements.shape[0]:
         raise IndexError(f"element index {element_index} out of range")
-    return float(_relay_gains(scenario, scenario.ue1, elements[element_index : element_index + 1])[0])
+    return float(_relay_gains(scenario, ue, elements[element_index : element_index + 1])[0])
+
+
+def h_reflect(scenario: Scenario, element_index: int) -> float:
+    """Relayed gain UE1 -> element -> AP for one element."""
+    return _element_gain(scenario, scenario.ue1, element_index)
 
 
 def h_transmit(scenario: Scenario, element_index: int) -> float:
     """Relayed gain UE2 -> element -> AP for one element."""
-    elements = build_ris_grid(scenario.panel)
-    if not 0 <= element_index < elements.shape[0]:
-        raise IndexError(f"element index {element_index} out of range")
-    return float(_relay_gains(scenario, scenario.ue2, elements[element_index : element_index + 1])[0])
+    return _element_gain(scenario, scenario.ue2, element_index)
 
 
 def channel_set(scenario: Scenario) -> ChannelSet:

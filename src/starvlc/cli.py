@@ -9,7 +9,9 @@ Config files are flat key-value text with dotted keys, e.g.
 Angles are in degrees; all other quantities are SI (meters, watts, m^2).
 Unknown keys are rejected; missing keys fall back to the default simulation
 parameters (default room: 5 x 5 x 3 m rooms, AP on the room-1 ceiling,
-10 x 8 panel in the wall between the rooms).
+10 x 8 panel in the wall between the rooms). Integer keys reject fractions
+and `sweep.oracle_check` takes only True or False. `scenario_entries` and the
+fields of `SweepSpec` are the only lists of config keys.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import ast
 import csv
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from enum import Enum
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
@@ -43,9 +46,12 @@ try:
 except PackageNotFoundError:
     TOOL_VERSION = "unknown"
 
-SWEEP_PARAMETERS = ("ue1_x", "ue2_x", "ap_x", "element_count", "power_both")
-SWEEP_KEYS = ("sweep.parameter", "sweep.start", "sweep.stop", "sweep.steps",
-              "sweep.objective", "sweep.scheme", "sweep.mode", "sweep.oracle_check")
+# Position sweeps move one point along x: parameter -> Scenario field.
+POSITION_SWEEPS = {"ue1_x": "ue1", "ue2_x": "ue2", "ap_x": "ap"}
+SWEEP_PARAMETERS = (*POSITION_SWEEPS, "element_count", "power_both")
+MODES = ("es", "ms")  # es = energy splitting, ms = mode switching
+SCHEMES = [s.value for s in DetectorScheme]
+OBJECTIVES = [o.value for o in Objective]
 
 
 class ConfigError(ValueError):
@@ -102,43 +108,51 @@ def _reject_unknown_keys(keys, known) -> None:
             raise ConfigError(f"unknown config key {key!r}{hint}")
 
 
+def _parse(key: str, parse, value):
+    """`parse(value)`, turning a failure into a ConfigError that names `key`."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{key}: {err}") from err
+
+
+def _integer(value) -> int:
+    """`value` as an int; a fraction, a bool or a non-number is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    """`value` if it is True or False (a bare `false` parses as a string)."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected True or False, got {value!r}")
+    return value
+
+
 def _scenario_from_entries(entries: dict, base: Scenario | None = None) -> Scenario:
     """Scenario from config entries over `base` (default: the built-in one).
 
     `sweep.*` keys are left to `load_sweep_spec`; any other key that is not
-    a scenario key is a ConfigError.
+    a scenario key is a ConfigError; `scenario_entries(base)` fills the rest.
     """
-    sc = base or default_scenario()
-    _reject_unknown_keys([k for k in entries if not k.startswith("sweep.")],
-                         list(scenario_entries(sc)))
-
-    def get(key, default):
-        return entries.get(key, default)
-
+    cfg = scenario_entries(base or default_scenario())
+    given = {k: v for k, v in entries.items() if not k.startswith("sweep.")}
+    _reject_unknown_keys(given, list(cfg))
+    cfg.update(given)
+    rows, cols = (_parse(key, _integer, cfg[key]) for key in ("ris.rows", "ris.cols"))
     try:
         return Scenario(
-            ap=OrientedPoint(get("ap.position", sc.ap.position),
-                             get("ap.normal", sc.ap.normal)),
-            ue1=OrientedPoint(get("ue1.position", sc.ue1.position),
-                              get("ue1.normal", sc.ue1.normal)),
-            ue2=OrientedPoint(get("ue2.position", sc.ue2.position),
-                              get("ue2.normal", sc.ue2.normal)),
-            source=LambertianSource(get("source.half_angle_deg",
-                                        sc.source.half_angle_deg)),
-            panel=RisPanel(center=get("ris.center", sc.panel.center),
-                           rows=int(get("ris.rows", sc.panel.rows)),
-                           cols=int(get("ris.cols", sc.panel.cols)),
-                           pitch=get("ris.pitch", sc.panel.pitch),
-                           normal=get("ris.normal", sc.panel.normal)),
-            front_end=OpticalFrontEnd(
-                area=get("detector.area", sc.front_end.area),
-                fov_deg=get("detector.fov_deg", sc.front_end.fov_deg),
-                gain=get("detector.gain", sc.front_end.gain),
-                responsivity=get("detector.responsivity", sc.front_end.responsivity),
-            ),
-            p1=get("power.ue1", sc.p1),
-            p2=get("power.ue2", sc.p2),
-            noise_variance=get("noise.variance", sc.noise_variance),
+            ap=OrientedPoint(cfg["ap.position"], cfg["ap.normal"]),
+            ue1=OrientedPoint(cfg["ue1.position"], cfg["ue1.normal"]),
+            ue2=OrientedPoint(cfg["ue2.position"], cfg["ue2.normal"]),
+            source=LambertianSource(cfg["source.half_angle_deg"]),
+            panel=RisPanel(center=cfg["ris.center"], rows=rows, cols=cols,
+                           pitch=cfg["ris.pitch"], normal=cfg["ris.normal"]),
+            front_end=OpticalFrontEnd(area=cfg["detector.area"], fov_deg=cfg["detector.fov_deg"],
+                                      gain=cfg["detector.gain"],
+                                      responsivity=cfg["detector.responsivity"]),
+            p1=cfg["power.ue1"], p2=cfg["power.ue2"], noise_variance=cfg["noise.variance"],
         )
     except ValueError as err:
         raise ConfigError(f"invalid scenario: {err}") from err
@@ -185,6 +199,9 @@ def write_scenario(scenario: Scenario, path) -> None:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep. Each field but `scenario` is the config key `sweep.<field>`,
+    parsed by its annotation and required when it has no default."""
+
     parameter: str
     start: float
     stop: float
@@ -192,7 +209,7 @@ class SweepSpec:
     scenario: Scenario
     objective: Objective = Objective.SUM_RATE
     scheme: DetectorScheme = DetectorScheme.SIC
-    mode: str = "es"  # es = energy splitting, ms = mode switching
+    mode: str = "es"
     oracle_check: bool = False
 
     def __post_init__(self):
@@ -203,32 +220,36 @@ class SweepSpec:
             raise ConfigError(f"sweep start must be <= stop, got {self.start}..{self.stop}")
         if self.steps < 2:
             raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
-        if self.mode not in ("es", "ms"):
-            raise ConfigError(f"mode must be 'es' or 'ms', got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+
+
+_SWEEP_FIELDS = {f"sweep.{f.name}": f for f in fields(SweepSpec) if f.name != "scenario"}
+_PARSERS = {"str": str, "float": float, "int": _integer, "bool": _boolean,
+            "Objective": Objective, "DetectorScheme": DetectorScheme}
+
+
+def _sweep_value(key: str, value):
+    return _parse(key, _PARSERS[_SWEEP_FIELDS[key].type], value)
 
 
 def load_sweep_spec(path) -> SweepSpec:
     entries = parse_kv_file(path)
     scenario = _scenario_from_entries(entries)
-    _reject_unknown_keys([k for k in entries if k.startswith("sweep.")], SWEEP_KEYS)
-    try:
-        parameter = entries["sweep.parameter"]
-        start = float(entries["sweep.start"])
-        stop = float(entries["sweep.stop"])
-        steps = int(entries["sweep.steps"])
-    except KeyError as err:
-        raise ConfigError(f"{path}: missing required sweep key {err}") from err
-    return SweepSpec(
-        parameter=parameter,
-        start=start,
-        stop=stop,
-        steps=steps,
-        scenario=scenario,
-        objective=Objective(entries.get("sweep.objective", "sum")),
-        scheme=DetectorScheme(entries.get("sweep.scheme", "sic")),
-        mode=entries.get("sweep.mode", "es"),
-        oracle_check=bool(entries.get("sweep.oracle_check", False)),
-    )
+    _reject_unknown_keys([k for k in entries if k.startswith("sweep.")], list(_SWEEP_FIELDS))
+    values = {}
+    for key, f in _SWEEP_FIELDS.items():
+        if key in entries:
+            values[f.name] = _sweep_value(key, entries[key])
+        elif f.default is MISSING:
+            raise ConfigError(f"{path}: missing required sweep key {key!r}")
+    return SweepSpec(scenario=scenario, **values)
+
+
+def sweep_entries(spec: SweepSpec) -> dict:
+    """The spec's `sweep.*` config entries, as `load_sweep_spec` reads them."""
+    values = ((key, getattr(spec, f.name)) for key, f in _SWEEP_FIELDS.items())
+    return {key: v.value if isinstance(v, Enum) else v for key, v in values}
 
 
 def sweep_values(spec: SweepSpec) -> list[float]:
@@ -248,18 +269,10 @@ def sweep_values(spec: SweepSpec) -> list[float]:
 
 def scenario_at(spec: SweepSpec, value: float) -> Scenario:
     sc = spec.scenario
-    if spec.parameter == "ue1_x":
-        pos = sc.ue1.position.copy()
-        pos[0] = value
-        return replace(sc, ue1=OrientedPoint(pos, sc.ue1.normal))
-    if spec.parameter == "ue2_x":
-        pos = sc.ue2.position.copy()
-        pos[0] = value
-        return replace(sc, ue2=OrientedPoint(pos, sc.ue2.normal))
-    if spec.parameter == "ap_x":
-        pos = sc.ap.position.copy()
-        pos[0] = value
-        return replace(sc, ap=OrientedPoint(pos, sc.ap.normal))
+    if spec.parameter in POSITION_SWEEPS:
+        name = POSITION_SWEEPS[spec.parameter]
+        point = getattr(sc, name)
+        return replace(sc, **{name: OrientedPoint([value, *point.position[1:]], point.normal)})
     if spec.parameter == "element_count":
         rows = int(value) // sc.panel.cols
         return replace(sc, panel=replace(sc.panel, rows=rows))
@@ -290,8 +303,23 @@ def _solve(channels, scenario: Scenario, scheme: DetectorScheme, objective: Obje
     return spca_optimize(channels, scenario, scheme, config)
 
 
-SWEEP_HEADER = ["swept_value", "r1", "r2", "sum_rate", "ee", "iters",
-                "converged", "oracle_sum", "oracle_gap"]
+RESULT_HEADER = ["r1", "r2", "sum_rate", "ee", "iters", "converged"]
+SWEEP_HEADER = ["swept_value", *RESULT_HEADER, "oracle_sum", "oracle_gap"]
+
+
+def _result_row(result) -> list:
+    """One solver result as the RESULT_HEADER columns."""
+    rates = result.rates
+    ee = "" if rates.energy_efficiency is None else repr(rates.energy_efficiency)
+    return [repr(rates.r1), repr(rates.r2), repr(rates.sum), ee,
+            result.iterations, int(result.converged)]
+
+
+def _write_csv(path: Path, rows) -> None:
+    """Write `rows` as a CSV file, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def run_sweep(spec: SweepSpec, out_dir, config: SpcaConfig | None = None,
@@ -303,29 +331,11 @@ def run_sweep(spec: SweepSpec, out_dir, config: SpcaConfig | None = None,
     """
     config = config or SpcaConfig()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     values = sweep_values(spec)
-    rows = []
-    baseline_rows = []
-    manifest = {}
-    manifest.update({f"scenario.{k}": v for k, v in scenario_entries(spec.scenario).items()})
-    manifest.update({
-        "sweep.parameter": spec.parameter,
-        "sweep.start": spec.start,
-        "sweep.stop": spec.stop,
-        "sweep.steps": spec.steps,
-        "sweep.objective": spec.objective.value,
-        "sweep.scheme": spec.scheme.value,
-        "sweep.mode": spec.mode,
-        "sweep.oracle_check": spec.oracle_check,
-        "spca.theta_init": config.theta_init,
-        "spca.tolerance": config.tolerance,
-        "spca.max_outer_iterations": config.max_outer_iterations,
-        "spca.inner_tolerance": config.inner_tolerance,
-        "spca.max_inner_iterations": config.max_inner_iterations,
-        "tool.version": TOOL_VERSION,
-        "seed": seed,
-    })
+    rows = [SWEEP_HEADER]
+    manifest = {**{f"scenario.{k}": v for k, v in scenario_entries(spec.scenario).items()},
+                **sweep_entries(spec), **{f"spca.{k}": v for k, v in asdict(config).items()},
+                "tool.version": TOOL_VERSION, "seed": seed}
     if spec.parameter == "power_both" and spec.start <= 0.0:
         manifest["note"] = "power sweeps must start above 0 W (efficiency is 0/0 there)"
     all_converged = True
@@ -335,30 +345,18 @@ def run_sweep(spec: SweepSpec, out_dir, config: SpcaConfig | None = None,
         ch = channel_set(scenario)
         result = _solve(ch, scenario, spec.scheme, spec.objective, spec.mode, config)
         elapsed = time.perf_counter() - t0
-        rates, iters, converged = result.rates, result.iterations, result.converged
-        all_converged = all_converged and converged
-        oracle_sum = ""
-        oracle_gap = ""
+        all_converged = all_converged and result.converged
+        oracle = ["", ""]
         if spec.oracle_check and ch.element_count <= MAX_ENUM_ELEMENTS:
-            report = vertex_enumerate(ch, scenario, spec.scheme)
-            oracle_sum = repr(report.best_rates.sum)
-            oracle_gap = repr(report.best_rates.sum - rates.sum)
-        ee = "" if rates.energy_efficiency is None else repr(rates.energy_efficiency)
-        rows.append([repr(value), repr(rates.r1), repr(rates.r2), repr(rates.sum),
-                     ee, iters, int(converged), oracle_sum, oracle_gap])
+            best = vertex_enumerate(ch, scenario, spec.scheme).best_rates.sum
+            oracle = [repr(best), repr(best - result.rates.sum)]
+        rows.append([repr(value), *_result_row(result), *oracle])
         manifest[f"point.{value}.seconds"] = f"{elapsed:.6f}"
-        manifest[f"point.{value}.converged"] = converged
-        if spec.parameter in ("ue1_x", "ue2_x", "ap_x"):
-            baseline_rows.append([repr(value), repr(no_ris_rate_ue1(scenario))])
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        writer.writerows(rows)
-    if baseline_rows:
-        with open(out_dir / "no_ris.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["swept_value", "r1_no_ris"])
-            writer.writerows(baseline_rows)
+        manifest[f"point.{value}.converged"] = result.converged
+    _write_csv(out_dir / "sweep.csv", rows)
+    if spec.parameter in POSITION_SWEEPS:
+        _write_csv(out_dir / "no_ris.csv", [["swept_value", "r1_no_ris"]] + [
+            [repr(v), repr(no_ris_rate_ue1(scenario_at(spec, v)))] for v in values])
     write_kv_file(manifest, out_dir / "manifest.txt")
     return all_converged
 
@@ -366,8 +364,7 @@ def run_sweep(spec: SweepSpec, out_dir, config: SpcaConfig | None = None,
 def _write_beta(beta: np.ndarray, panel, out_path) -> np.ndarray:
     """Write `beta` as the panel's rows x cols reflection matrix in CSV."""
     matrix = beta.reshape(panel.rows, panel.cols)
-    with open(out_path, "w", newline="") as fh:
-        csv.writer(fh).writerows([repr(float(v)) for v in row] for row in matrix)
+    _write_csv(Path(out_path), ([repr(float(v)) for v in row] for row in matrix))
     return matrix
 
 
@@ -381,7 +378,7 @@ def dump_beta(scenario: Scenario, scheme: DetectorScheme, out_path,
 
 def _add_common(parser):
     parser.add_argument("--scenario", help="scenario config file (defaults to the built-in setup)")
-    parser.add_argument("--scheme", choices=["sud", "sic"], default="sic")
+    parser.add_argument("--scheme", choices=SCHEMES, default="sic")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None)
 
@@ -393,15 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="optimize a single scenario")
     _add_common(p)
-    p.add_argument("--mode", choices=["es", "ms"], default="es")
-    p.add_argument("--objective", choices=["sum", "timeshare", "maxmin"], default="sum")
+    p.add_argument("--mode", choices=MODES, default="es")
+    p.add_argument("--objective", choices=OBJECTIVES, default="sum")
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a spec file")
     p.add_argument("spec", help="sweep spec file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--scheme", choices=["sud", "sic"], default=None)
-    p.add_argument("--mode", choices=["es", "ms"], default=None)
-    p.add_argument("--objective", choices=["sum", "timeshare", "maxmin"], default=None)
+    p.add_argument("--scheme", choices=SCHEMES, default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
+    p.add_argument("--objective", choices=OBJECTIVES, default=None)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("oracle", help="exhaustive binary-vertex check (small panels)")
@@ -421,22 +418,17 @@ def _cmd_solve(args) -> int:
     scenario = _load_or_default(args.scenario)
     ch = channel_set(scenario)
     scheme = DetectorScheme(args.scheme)
-    result = _solve(ch, scenario, scheme, Objective(args.objective), args.mode, SpcaConfig())
+    config = SpcaConfig()
+    result = _solve(ch, scenario, scheme, Objective(args.objective), args.mode, config)
     rates, iters, converged = result.rates, result.iterations, result.converged
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "solution.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r1", "r2", "sum_rate", "ee", "iters", "converged"])
-        ee = "" if rates.energy_efficiency is None else repr(rates.energy_efficiency)
-        writer.writerow([repr(rates.r1), repr(rates.r2), repr(rates.sum), ee,
-                         iters, int(converged)])
+    _write_csv(out / "solution.csv", [RESULT_HEADER, _result_row(result)])
     if args.objective == "sum" and scenario.panel.rows * scenario.panel.cols:
         _write_beta(result.beta, scenario.panel, out / "beta.csv")
-    manifest = {f"scenario.{k}": v for k, v in scenario_entries(scenario).items()}
-    manifest.update({"scheme": scheme.value, "mode": args.mode,
-                     "objective": args.objective, "tool.version": TOOL_VERSION,
-                     "seed": args.seed, "converged": converged})
+    manifest = {**{f"scenario.{k}": v for k, v in scenario_entries(scenario).items()},
+                **{f"spca.{k}": v for k, v in asdict(config).items()},
+                "scheme": scheme.value, "mode": args.mode, "objective": args.objective,
+                "tool.version": TOOL_VERSION, "seed": args.seed, "converged": converged}
     write_kv_file(manifest, out / "manifest.txt")
     print(f"r1={rates.r1:.6f} r2={rates.r2:.6f} sum={rates.sum:.6f} "
           f"iters={iters} converged={converged}")
@@ -445,29 +437,22 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.spec)
-    if args.scheme:
-        spec = replace(spec, scheme=DetectorScheme(args.scheme))
-    if args.mode:
-        spec = replace(spec, mode=args.mode)
-    if args.objective:
-        spec = replace(spec, objective=Objective(args.objective))
-    ok = run_sweep(spec, args.out, seed=args.seed)
-    return 0 if ok else 2
+    given = {"scheme": args.scheme, "mode": args.mode, "objective": args.objective}
+    spec = replace(spec, **{name: _sweep_value(f"sweep.{name}", value)
+                            for name, value in given.items() if value is not None})
+    return 0 if run_sweep(spec, args.out, seed=args.seed) else 2
 
 
 def _cmd_oracle(args) -> int:
     scenario = _load_or_default(args.scenario)
     ch = channel_set(scenario)
     report = vertex_enumerate(ch, scenario, DetectorScheme(args.scheme))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "oracle.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sum_rate", "r1", "r2", "evaluations", "runtime_s"])
-        writer.writerow([repr(report.best_rates.sum), repr(report.best_rates.r1),
-                         repr(report.best_rates.r2), report.evaluations,
-                         f"{report.runtime:.6f}"])
-    print(f"oracle sum-rate={report.best_rates.sum:.6f} "
+    best = report.best_rates
+    _write_csv(Path(args.out) / "oracle.csv",
+               [["sum_rate", "r1", "r2", "evaluations", "runtime_s"],
+                [repr(best.sum), repr(best.r1), repr(best.r2), report.evaluations,
+                 f"{report.runtime:.6f}"]])
+    print(f"oracle sum-rate={best.sum:.6f} "
           f"({report.evaluations} vertices in {report.runtime:.3f}s)")
     return 0
 
@@ -479,34 +464,23 @@ def _cmd_scan(args) -> int:
     result = spca_optimize(ch, scenario, scheme)
     values, argmax = coordinate_scan(ch, scenario, scheme, result.beta,
                                      grid_points=args.grid_points)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "scan.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element", "argmax"] +
-                        [f"v{j}" for j in range(values.shape[1])])
-        for i in range(values.shape[0]):
-            writer.writerow([i, repr(float(argmax[i]))] +
-                            [repr(float(v)) for v in values[i]])
+    header = ["element", "argmax"] + [f"v{j}" for j in range(values.shape[1])]
+    _write_csv(Path(args.out) / "scan.csv",
+               [header] + [[i, repr(float(argmax[i]))] + [repr(float(v)) for v in values[i]]
+                           for i in range(values.shape[0])])
     print(f"scanned {values.shape[0]} coordinates at {values.shape[1]} grid points")
     return 0 if result.converged else 2
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {"solve": _cmd_solve, "sweep": _cmd_sweep, "oracle": _cmd_oracle,
+                "scan": _cmd_scan}
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
+        return commands[args.command](args)
     except (ConfigError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

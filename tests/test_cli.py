@@ -1,5 +1,6 @@
 import csv
-from dataclasses import replace
+import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from starvlc.cli import (
     parse_kv_file,
     run_sweep,
     scenario_at,
+    scenario_entries,
+    sweep_entries,
     sweep_values,
+    write_kv_file,
     write_scenario,
 )
 from starvlc.spca import Objective, SpcaConfig
@@ -109,6 +113,48 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="sweep.oracle_check"):
             load_sweep_spec(path)
 
+    @pytest.mark.parametrize("value", ["false", "0", "1", "'True'"])
+    def test_oracle_check_takes_only_true_or_false(self, tmp_path, value):
+        path = tmp_path / "sweep.txt"
+        path.write_text("sweep.parameter = ue1_x\nsweep.start = 3.0\n"
+                        f"sweep.stop = 4.5\nsweep.steps = 4\nsweep.oracle_check = {value}\n")
+        with pytest.raises(ConfigError, match="sweep.oracle_check"):
+            load_sweep_spec(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("ris.rows", "2.5"),
+        ("ris.cols", "True"),
+        ("sweep.steps", "2.9"),
+        ("sweep.steps", "'4'"),
+        ("sweep.start", "abc"),
+        ("sweep.stop", "[4.5]"),
+        ("sweep.scheme", "sid"),
+        ("sweep.objective", "best"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, key, value):
+        entries = {"sweep.parameter": "ue1_x", "sweep.start": "3.0",
+                   "sweep.stop": "4.5", "sweep.steps": "4", key: value}
+        path = tmp_path / "sweep.txt"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_sweep_spec(path)
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        path = tmp_path / "sweep.txt"
+        path.write_text("sweep.parameter = ue1_x\nsweep.start = 3.0\n"
+                        "sweep.stop = 4.5\nsweep.steps = 4.0\nris.rows = 3.0\n")
+        spec = load_sweep_spec(path)
+        assert spec.steps == 4 and spec.scenario.panel.rows == 3
+
+    def test_entries_round_trip(self, tmp_path):
+        sc = replace(default_scenario(), p1=0.05)
+        spec = SweepSpec(parameter="ap_x", start=4.0, stop=4.75, steps=4, scenario=sc,
+                         objective=Objective.MAX_MIN, scheme=DetectorScheme.SUD,
+                         mode="ms", oracle_check=True)
+        path = tmp_path / "sweep.txt"
+        write_kv_file({**scenario_entries(sc), **sweep_entries(spec)}, path)
+        assert load_sweep_spec(path) == spec
+
     def test_validation(self):
         sc = default_scenario()
         with pytest.raises(ConfigError):
@@ -162,6 +208,8 @@ class TestRunSweep:
         assert manifest["sweep.parameter"] == "ue1_x"
         assert manifest["seed"] == 7
         assert "tool.version" in manifest
+        for name, value in asdict(SpcaConfig()).items():
+            assert manifest[f"spca.{name}"] == value
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = SweepSpec(parameter="power_both", start=0.01, stop=0.05, steps=3,
