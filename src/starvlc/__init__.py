@@ -1,6 +1,8 @@
 """Two-user uplink VLC link assisted by a simultaneously transmitting and
 reflecting RIS: channel model, sum-rate optimizers and validation oracles."""
 
+__version__ = "0.1.0"
+
 from ._kernels import BACKEND as KERNEL_BACKEND
 from .channel import (
     ChannelSet,
@@ -12,7 +14,16 @@ from .channel import (
     h_transmit,
 )
 from .geometry import LambertianSource, OrientedPoint, RisPanel, build_ris_grid, lambertian_order
-from .link import DetectorScheme, RatePair, effective_channels, rate, rate_pair, sinr, sum_rate
+from .link import (
+    DetectorScheme,
+    RatePair,
+    effective_channels,
+    rate,
+    rate_pair,
+    rates_from_gains,
+    sinr,
+    sum_rate,
+)
 from .oracle import OracleReport, coordinate_scan, mask_to_beta, vertex_enumerate
 from .spca import (
     Objective,
@@ -46,6 +57,7 @@ __all__ = [
     "effective_channels",
     "rate",
     "rate_pair",
+    "rates_from_gains",
     "sinr",
     "sum_rate",
     "OracleReport",

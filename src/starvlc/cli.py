@@ -23,11 +23,11 @@ import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from enum import Enum
-from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .channel import OpticalFrontEnd, Scenario, channel_set
 from .geometry import LambertianSource, OrientedPoint, RisPanel
 from .link import DetectorScheme, rate
@@ -41,10 +41,7 @@ from .spca import (
     time_sharing_optimize,
 )
 
-try:
-    TOOL_VERSION = version("starvlc")
-except PackageNotFoundError:
-    TOOL_VERSION = "unknown"
+TOOL_VERSION = __version__
 
 # Position sweeps move one point along x: parameter -> Scenario field.
 POSITION_SWEEPS = {"ue1_x": "ue1", "ue2_x": "ue2", "ap_x": "ap"}
@@ -123,11 +120,21 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value):
+    """`value` if it is an int or a float; a bool or a non-number is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
+
+
 def _boolean(value) -> bool:
     """`value` if it is True or False (a bare `false` parses as a string)."""
     if not isinstance(value, bool):
         raise ValueError(f"expected True or False, got {value!r}")
     return value
+
+
+_INTEGER_KEYS = ("ris.rows", "ris.cols")
 
 
 def _scenario_from_entries(entries: dict, base: Scenario | None = None) -> Scenario:
@@ -136,18 +143,22 @@ def _scenario_from_entries(entries: dict, base: Scenario | None = None) -> Scena
     `sweep.*` keys are left to `load_sweep_spec`; any other key that is not
     a scenario key is a ConfigError; `scenario_entries(base)` fills the rest.
     """
-    cfg = scenario_entries(base or default_scenario())
+    defaults = scenario_entries(base or default_scenario())
     given = {k: v for k, v in entries.items() if not k.startswith("sweep.")}
-    _reject_unknown_keys(given, list(cfg))
-    cfg.update(given)
-    rows, cols = (_parse(key, _integer, cfg[key]) for key in ("ris.rows", "ris.cols"))
+    _reject_unknown_keys(given, list(defaults))
+    cfg = {**defaults, **given}
+    for key, default in defaults.items():
+        if key in _INTEGER_KEYS:
+            cfg[key] = _parse(key, _integer, cfg[key])
+        elif not isinstance(default, list):  # vectors are checked where they are built
+            cfg[key] = _parse(key, _real, cfg[key])
     try:
         return Scenario(
             ap=OrientedPoint(cfg["ap.position"], cfg["ap.normal"]),
             ue1=OrientedPoint(cfg["ue1.position"], cfg["ue1.normal"]),
             ue2=OrientedPoint(cfg["ue2.position"], cfg["ue2.normal"]),
             source=LambertianSource(cfg["source.half_angle_deg"]),
-            panel=RisPanel(center=cfg["ris.center"], rows=rows, cols=cols,
+            panel=RisPanel(center=cfg["ris.center"], rows=cfg["ris.rows"], cols=cfg["ris.cols"],
                            pitch=cfg["ris.pitch"], normal=cfg["ris.normal"]),
             front_end=OpticalFrontEnd(area=cfg["detector.area"], fov_deg=cfg["detector.fov_deg"],
                                       gain=cfg["detector.gain"],

@@ -42,7 +42,7 @@ def validate_beta(beta, n: int) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (n,):
         raise ValueError(f"beta length {beta.shape} does not match element count {n}")
-    if np.any(beta < 0.0) or np.any(beta > 1.0):
+    if not np.all((beta >= 0.0) & (beta <= 1.0)):  # NaN fails too
         raise ValueError("beta entries must lie in [0, 1]")
     return beta
 
@@ -55,19 +55,18 @@ def effective_channels(channels: ChannelSet, beta) -> tuple[float, float]:
     return h1, h2
 
 
-def sinr(
-    channels: ChannelSet,
-    beta,
+def sinr_from_gains(
+    h1: float,
+    h2: float,
     p1: float,
     p2: float,
     responsivity: float,
     noise_variance: float,
     scheme: DetectorScheme,
 ) -> tuple[float, float]:
-    """Post-detection SINRs of the two users."""
+    """Post-detection SINRs of the two users for effective gains (H1, H2)."""
     if noise_variance <= 0.0:
         raise ValueError(f"noise variance must be positive, got {noise_variance}")
-    h1, h2 = effective_channels(channels, beta)
     s1 = (responsivity * h1 * p1) ** 2
     s2 = (responsivity * h2 * p2) ** 2
     sinr2 = s2 / (noise_variance + s1)
@@ -78,6 +77,20 @@ def sinr(
     return sinr1, sinr2
 
 
+def sinr(
+    channels: ChannelSet,
+    beta,
+    p1: float,
+    p2: float,
+    responsivity: float,
+    noise_variance: float,
+    scheme: DetectorScheme,
+) -> tuple[float, float]:
+    """Post-detection SINRs of the two users."""
+    h1, h2 = effective_channels(channels, beta)
+    return sinr_from_gains(h1, h2, p1, p2, responsivity, noise_variance, scheme)
+
+
 def rate(sinr_value: float) -> float:
     """Achievable rate (bpcu) of a link with the given SINR."""
     if sinr_value < 0.0:
@@ -85,22 +98,24 @@ def rate(sinr_value: float) -> float:
     return 0.5 * math.log2(1.0 + RATE_SINR_SCALE * sinr_value)
 
 
-def rate_pair(channels: ChannelSet, beta, scenario: Scenario, scheme: DetectorScheme) -> RatePair:
-    """Both users' rates plus sum-rate and energy efficiency."""
-    s1, s2 = sinr(
-        channels,
-        beta,
-        scenario.p1,
-        scenario.p2,
-        scenario.front_end.responsivity,
-        scenario.noise_variance,
-        scheme,
-    )
+def rates_from_gains(h1: float, h2: float, scenario: Scenario,
+                     scheme: DetectorScheme) -> RatePair:
+    """Both users' rates, sum-rate and energy efficiency for effective gains
+    (H1, H2). Every rate depends on `beta` only through these two scalars."""
+    s1, s2 = sinr_from_gains(h1, h2, scenario.p1, scenario.p2,
+                             scenario.front_end.responsivity, scenario.noise_variance,
+                             scheme)
     r1 = rate(s1)
     r2 = rate(s2)
     total_power = scenario.p1 + scenario.p2
     ee = (r1 + r2) / total_power if total_power > 0.0 else None
     return RatePair(r1=r1, r2=r2, sum=r1 + r2, energy_efficiency=ee)
+
+
+def rate_pair(channels: ChannelSet, beta, scenario: Scenario, scheme: DetectorScheme) -> RatePair:
+    """Both users' rates plus sum-rate and energy efficiency."""
+    h1, h2 = effective_channels(channels, beta)
+    return rates_from_gains(h1, h2, scenario, scheme)
 
 
 def sum_rate(channels: ChannelSet, beta, scenario: Scenario, scheme: DetectorScheme) -> float:

@@ -1,10 +1,15 @@
 import csv
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import starvlc
 from starvlc import DetectorScheme, OrientedPoint
 from starvlc.cli import (
     ConfigError,
@@ -207,7 +212,7 @@ class TestRunSweep:
         manifest = parse_kv_file(tmp_path / "manifest.txt")
         assert manifest["sweep.parameter"] == "ue1_x"
         assert manifest["seed"] == 7
-        assert "tool.version" in manifest
+        assert manifest["tool.version"] == starvlc.__version__
         for name, value in asdict(SpcaConfig()).items():
             assert manifest[f"spca.{name}"] == value
 
@@ -318,3 +323,31 @@ class TestCliEntry:
         code = main(["solve", "--scenario", str(typo), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "ris.rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["power.ue1 = abc", "noise.variance = None",
+                                      "ris.pitch = [0.1]", "detector.gain = True"])
+    def test_non_numeric_scalar_exit_code(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(line + "\n")
+        code = main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert line.split(" = ")[0] in err
+        assert "Traceback" not in err
+
+
+class TestVersion:
+    def test_solve_manifest_records_package_version(self, tmp_path):
+        assert main(["solve", "--out", str(tmp_path)]) == 0
+        manifest = parse_kv_file(tmp_path / "manifest.txt")
+        assert manifest["tool.version"] == starvlc.__version__
+
+    def test_cli_import_skips_package_metadata(self):
+        """The version comes from the package itself, not from installed
+        metadata, so `importlib.metadata` (and what it imports) stays out
+        of every CLI start-up."""
+        src = str(Path(starvlc.__file__).resolve().parents[1])
+        code = "import sys, starvlc.cli; print('importlib.metadata' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "False"

@@ -3,14 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starvlc import (
     ChannelSet,
     DetectorScheme,
+    OrientedPoint,
     channel_set,
     effective_channels,
     rate,
     rate_pair,
+    rates_from_gains,
     sinr,
     sum_rate,
 )
@@ -52,6 +56,17 @@ class TestEffectiveChannels:
         with pytest.raises(ValueError):
             effective_channels(ch, [0.5, 0.5])
         assert validate_beta([0.0], 1).shape == (1,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        sc = reference_scenario()
+        ch = channel_set(sc)
+        beta = np.full(ch.element_count, 0.5)
+        beta[3] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            effective_channels(ch, beta)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            rate_pair(ch, beta, sc, DetectorScheme.SIC)
 
 
 class TestSinr:
@@ -144,3 +159,69 @@ class TestRatePair:
             sic = rate_pair(ch, beta, sc, DetectorScheme.SIC)
             assert sic.sum >= sud.sum - 1e-15
             assert sic.r2 == pytest.approx(sud.r2, rel=1e-14)
+
+
+@st.composite
+def panels(draw):
+    """A two-room scenario with a random geometry and a 1 to 4 x 1 to 4
+    panel, its channels, and a coefficient vector for it."""
+    coord = lambda lo, hi: draw(st.floats(lo, hi))
+    sc = reference_scenario()
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    sc = replace(
+        sc,
+        panel=replace(sc.panel, rows=rows, cols=cols,
+                      center=np.array([5.0, coord(1.5, 3.5), coord(1.0, 2.0)])),
+        ue1=OrientedPoint([coord(1.0, 4.9), coord(0.5, 4.5), 1.0], [0, 0, 1]),
+        ue2=OrientedPoint([coord(5.1, 9.0), coord(0.5, 4.5), 1.0], [0, 0, 1]),
+        ap=OrientedPoint([coord(0.5, 4.9), coord(0.5, 4.5), 3.0], [0, 0, -1]),
+        p1=coord(0.0, 0.2),
+        p2=coord(0.0, 0.2),
+    )
+    n = rows * cols
+    beta = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    return sc, channel_set(sc), beta
+
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+class TestLinkProperties:
+    @PROPERTY
+    @given(panels())
+    def test_gains_finite_and_nonnegative(self, case):
+        _, ch, beta = case
+        gains = np.array([ch.h_los, *ch.h_reflect, *ch.h_transmit,
+                          *effective_channels(ch, beta)])
+        assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
+
+    @PROPERTY
+    @given(panels(), st.randoms(use_true_random=False))
+    def test_rates_invariant_under_element_permutation(self, case, random):
+        sc, ch, beta = case
+        perm = np.array(random.sample(range(beta.size), beta.size))
+        permuted = ChannelSet(h_los=ch.h_los, h_reflect=ch.h_reflect[perm],
+                              h_transmit=ch.h_transmit[perm])
+        for scheme in DetectorScheme:
+            a = rate_pair(ch, beta, sc, scheme)
+            b = rate_pair(permuted, beta[perm], sc, scheme)
+            for x, y in [(a.r1, b.r1), (a.r2, b.r2), (a.sum, b.sum)]:
+                assert x == pytest.approx(y, rel=1e-12, abs=1e-15)
+
+    @PROPERTY
+    @given(panels())
+    def test_sic_sum_rate_at_least_sud(self, case):
+        sc, ch, beta = case
+        sic = rate_pair(ch, beta, sc, DetectorScheme.SIC)
+        sud = rate_pair(ch, beta, sc, DetectorScheme.SUD)
+        assert sic.r1 >= sud.r1
+        assert sic.r2 == sud.r2
+        assert sic.sum >= sud.sum
+
+    @PROPERTY
+    @given(panels())
+    def test_rates_from_gains_is_rate_pair(self, case):
+        sc, ch, beta = case
+        for scheme in DetectorScheme:
+            assert rates_from_gains(*effective_channels(ch, beta), sc, scheme) == \
+                rate_pair(ch, beta, sc, scheme)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from starvlc import (
     channel_set,
     max_min_optimize,
     mode_switching_optimize,
+    rate_pair,
     reduced_objective,
     solve_subproblem,
     spca_optimize,
@@ -18,6 +20,7 @@ from starvlc import (
     time_sharing_optimize,
     vertex_enumerate,
 )
+from starvlc import spca
 from starvlc.spca import _ReducedProblem
 from util import random_scenario, reference_scenario
 
@@ -176,6 +179,37 @@ class TestSpca:
             SpcaConfig(beta_init=1.5)
 
 
+def reference_rounding(channels, scenario, scheme, beta):
+    """O(N^2) reference for the rounding in `mode_switching_optimize`: each
+    fractional coordinate, in index order, goes to the better of {0, 1} by a
+    full sum-rate evaluation of both candidates (ties to 1)."""
+    beta = beta.copy()
+    for i in range(beta.size):
+        if beta[i] in (0.0, 1.0):
+            continue
+        lo = beta.copy()
+        lo[i] = 0.0
+        hi = beta.copy()
+        hi[i] = 1.0
+        f0 = sum_rate(channels, lo, scenario, scheme)
+        f1 = sum_rate(channels, hi, scenario, scheme)
+        beta[i] = 1.0 if f1 >= f0 else 0.0
+    return beta
+
+
+def with_dead_elements(channels):
+    """`channels` with every third element's gains zeroed."""
+    hr = channels.h_reflect.copy()
+    ht = channels.h_transmit.copy()
+    hr[::3] = 0.0
+    ht[::3] = 0.0
+    return ChannelSet(h_los=channels.h_los, h_reflect=hr, h_transmit=ht)
+
+
+def fractional(beta):
+    return (beta > 0.0) & (beta < 1.0)
+
+
 class TestModeSwitching:
     def test_result_is_binary(self):
         sc, ch = small_setup(seed=7, rows=2, cols=4)
@@ -201,6 +235,85 @@ class TestModeSwitching:
             oracle = vertex_enumerate(ch, sc, DetectorScheme.SIC)
             ms = mode_switching_optimize(ch, sc, DetectorScheme.SIC)
             assert ms.rates.sum >= oracle.best_rates.sum - 1e-3
+
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_rounding_matches_reference_at_es_optimum(self, scheme):
+        """Bitwise the reference's beta. Panels whose elements see no light
+        (both gains 0) keep those elements fractional at the ES optimum;
+        they must round to 1, the tie rule. Seed 0's 20 x 16 panel leaves
+        over 100 coordinates fractional."""
+        tied = 0
+        for seed, (rows, cols) in enumerate([(20, 16), (2, 3), (4, 4), (10, 8)] * 2):
+            sc = random_scenario(np.random.default_rng(seed), rows, cols)
+            ch = channel_set(sc)
+            if seed % 2:
+                ch = with_dead_elements(ch)
+            es = spca_optimize(ch, sc, scheme).beta
+            ms = mode_switching_optimize(ch, sc, scheme).beta
+            np.testing.assert_array_equal(ms, reference_rounding(ch, sc, scheme, es))
+            dead = (ch.h_reflect == 0.0) & (ch.h_transmit == 0.0)
+            assert np.all(ms[dead & fractional(es)] == 1.0)
+            tied += int(np.sum(dead & fractional(es)))
+            if seed == 0:
+                assert np.sum(fractional(es)) >= 100
+        assert tied >= 100
+
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_rounding_matches_reference_from_fractional_start(self, scheme, monkeypatch):
+        """Bitwise the reference's beta when most coordinates start
+        fractional (up to 320 of them), on seeded room panels, with and
+        without dead elements, and on balanced panels: gain directions
+        spread over the quarter circle and a weak LOS, so each rounding
+        decision depends on the gains the earlier ones left behind."""
+        rng = np.random.default_rng(100)
+        cases = []
+        for k, (rows, cols) in enumerate([(2, 3), (4, 4), (10, 8), (20, 16)] * 2):
+            sc = random_scenario(rng, rows, cols)
+            ch = channel_set(sc)
+            cases.append((sc, with_dead_elements(ch) if k % 2 else ch))
+        for n in (16, 80, 320):
+            angle = rng.uniform(0.0, 0.5 * np.pi, size=n)
+            gain = 1e-6 * rng.uniform(0.5, 1.5, size=n)
+            cases.append((reference_scenario(),
+                          ChannelSet(h_los=1e-7, h_reflect=gain * np.cos(angle),
+                                     h_transmit=gain * np.sin(angle))))
+        es = spca_optimize
+        for sc, ch in cases:
+            start = rng.uniform(0.0, 1.0, size=ch.element_count)
+            start[rng.random(start.size) < 0.2] = 1.0
+            monkeypatch.setattr(spca, "spca_optimize",
+                                lambda *args: replace(es(*args), beta=start.copy()))
+            ms = mode_switching_optimize(ch, sc, scheme)
+            np.testing.assert_array_equal(ms.beta, reference_rounding(ch, sc, scheme, start))
+            assert ms.rates == rate_pair(ch, ms.beta, sc, scheme)
+
+    @pytest.mark.parametrize("rows, cols", [(4, 4), (20, 16)])
+    def test_rounding_makes_no_rate_calls(self, rows, cols, monkeypatch):
+        """MS costs what ES costs plus one `rate_pair` for the final rates,
+        however many coordinates it rounds."""
+        calls = Counter()
+
+        def counting(name):
+            fn = getattr(spca, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("sum_rate", "rate_pair"):
+            monkeypatch.setattr(spca, name, counting(name))
+        sc = random_scenario(np.random.default_rng(0), rows, cols)
+        ch = with_dead_elements(channel_set(sc))
+        for scheme in DetectorScheme:
+            calls.clear()
+            es = spca_optimize(ch, sc, scheme)
+            es_calls = calls.copy()
+            calls.clear()
+            mode_switching_optimize(ch, sc, scheme)
+            assert np.sum(fractional(es.beta)) > 0
+            assert calls["sum_rate"] <= es_calls["sum_rate"]
+            assert calls["rate_pair"] == es_calls["rate_pair"] + 1
 
 
 class TestTimeSharing:
