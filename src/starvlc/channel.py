@@ -101,6 +101,9 @@ class ChannelSet:
         object.__setattr__(self, "h_transmit", np.asarray(self.h_transmit, dtype=float))
         if self.h_reflect.shape != self.h_transmit.shape:
             raise ValueError("reflect and transmit gain vectors must have equal length")
+        if not (np.isfinite(self.h_los) and np.all(np.isfinite(self.h_reflect))
+                and np.all(np.isfinite(self.h_transmit))):
+            raise ValueError("channel gains must be finite")
 
     @property
     def element_count(self) -> int:

@@ -28,13 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import OpticalFrontEnd, Scenario, channel_set
+from .channel import OpticalFrontEnd, Scenario, channel_set, h_los
 from .geometry import LambertianSource, OrientedPoint, RisPanel
-from .link import DetectorScheme, rate
+from .link import DetectorScheme, rates_from_gains
 from .oracle import MAX_ENUM_ELEMENTS, coordinate_scan, vertex_enumerate
 from .spca import (
+    SETTINGS,
     Objective,
-    SpcaConfig,
     max_min_optimize,
     mode_switching_optimize,
     spca_optimize,
@@ -49,6 +49,8 @@ SWEEP_PARAMETERS = (*POSITION_SWEEPS, "element_count", "power_both")
 MODES = ("es", "ms")  # es = energy splitting, ms = mode switching
 SCHEMES = [s.value for s in DetectorScheme]
 OBJECTIVES = [o.value for o in Objective]
+# The solver's fixed settings, as every manifest records them.
+SPCA_ENTRIES = {f"spca.{k}": v for k, v in asdict(SETTINGS).items()}
 
 
 class ConfigError(ValueError):
@@ -127,6 +129,13 @@ def _real(value):
     return value
 
 
+def _vector3(value) -> list:
+    """`value` as a list, if it is a list or tuple of three numbers."""
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ValueError(f"expected three numbers, got {value!r}")
+    return [_real(x) for x in value]
+
+
 def _boolean(value) -> bool:
     """`value` if it is True or False (a bare `false` parses as a string)."""
     if not isinstance(value, bool):
@@ -148,10 +157,9 @@ def _scenario_from_entries(entries: dict, base: Scenario | None = None) -> Scena
     _reject_unknown_keys(given, list(defaults))
     cfg = {**defaults, **given}
     for key, default in defaults.items():
-        if key in _INTEGER_KEYS:
-            cfg[key] = _parse(key, _integer, cfg[key])
-        elif not isinstance(default, list):  # vectors are checked where they are built
-            cfg[key] = _parse(key, _real, cfg[key])
+        parse = (_integer if key in _INTEGER_KEYS
+                 else _vector3 if isinstance(default, list) else _real)
+        cfg[key] = _parse(key, parse, cfg[key])
     try:
         return Scenario(
             ap=OrientedPoint(cfg["ap.position"], cfg["ap.normal"]),
@@ -294,24 +302,21 @@ def scenario_at(spec: SweepSpec, value: float) -> Scenario:
 
 def no_ris_rate_ue1(scenario: Scenario) -> float:
     """UE1's rate over the bare LOS link (no panel, hence no interference)."""
-    bare = replace(scenario, panel=replace(scenario.panel, rows=0))
-    ch = channel_set(bare)
-    s1 = (scenario.front_end.responsivity * ch.h_los * scenario.p1) ** 2
-    return rate(s1 / scenario.noise_variance)
+    return rates_from_gains(h_los(scenario), 0.0, scenario, DetectorScheme.SIC).r1
 
 
 def _solve(channels, scenario: Scenario, scheme: DetectorScheme, objective: Objective,
-           mode: str, config: SpcaConfig):
+           mode: str):
     """Run the solver for `objective`; `mode` ("es" or "ms") selects between
     continuous and binary coefficients for the sum rate. Returns its
     SpcaResult or TimeSharingResult."""
     if objective is Objective.TIME_SHARING:
-        return time_sharing_optimize(channels, scenario, scheme, config)
+        return time_sharing_optimize(channels, scenario, scheme)
     if objective is Objective.MAX_MIN:
-        return max_min_optimize(channels, scenario, scheme, config)
+        return max_min_optimize(channels, scenario, scheme)
     if mode == "ms":
-        return mode_switching_optimize(channels, scenario, scheme, config)
-    return spca_optimize(channels, scenario, scheme, config)
+        return mode_switching_optimize(channels, scenario, scheme)
+    return spca_optimize(channels, scenario, scheme)
 
 
 RESULT_HEADER = ["r1", "r2", "sum_rate", "ee", "iters", "converged"]
@@ -333,19 +338,17 @@ def _write_csv(path: Path, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def run_sweep(spec: SweepSpec, out_dir, config: SpcaConfig | None = None,
-              seed: int | None = None) -> bool:
+def run_sweep(spec: SweepSpec, out_dir, seed: int | None = None) -> bool:
     """Execute a sweep; returns True iff every point converged.
 
     Writes `sweep.csv` (one row per point), `no_ris.csv` with UE1's bare-LOS
     baseline for position sweeps, and `manifest.txt`.
     """
-    config = config or SpcaConfig()
     out_dir = Path(out_dir)
     values = sweep_values(spec)
     rows = [SWEEP_HEADER]
     manifest = {**{f"scenario.{k}": v for k, v in scenario_entries(spec.scenario).items()},
-                **sweep_entries(spec), **{f"spca.{k}": v for k, v in asdict(config).items()},
+                **sweep_entries(spec), **SPCA_ENTRIES,
                 "tool.version": TOOL_VERSION, "seed": seed}
     if spec.parameter == "power_both" and spec.start <= 0.0:
         manifest["note"] = "power sweeps must start above 0 W (efficiency is 0/0 there)"
@@ -354,7 +357,7 @@ def run_sweep(spec: SweepSpec, out_dir, config: SpcaConfig | None = None,
         scenario = scenario_at(spec, value)
         t0 = time.perf_counter()
         ch = channel_set(scenario)
-        result = _solve(ch, scenario, spec.scheme, spec.objective, spec.mode, config)
+        result = _solve(ch, scenario, spec.scheme, spec.objective, spec.mode)
         elapsed = time.perf_counter() - t0
         all_converged = all_converged and result.converged
         oracle = ["", ""]
@@ -380,10 +383,10 @@ def _write_beta(beta: np.ndarray, panel, out_path) -> np.ndarray:
 
 
 def dump_beta(scenario: Scenario, scheme: DetectorScheme, out_path,
-              config: SpcaConfig | None = None, mode: str = "es") -> np.ndarray:
+              mode: str = "es") -> np.ndarray:
     """Solve the scenario and write the rows x cols reflection matrix as CSV."""
     ch = channel_set(scenario)
-    result = _solve(ch, scenario, scheme, Objective.SUM_RATE, mode, config or SpcaConfig())
+    result = _solve(ch, scenario, scheme, Objective.SUM_RATE, mode)
     return _write_beta(result.beta, scenario.panel, out_path)
 
 
@@ -429,15 +432,14 @@ def _cmd_solve(args) -> int:
     scenario = _load_or_default(args.scenario)
     ch = channel_set(scenario)
     scheme = DetectorScheme(args.scheme)
-    config = SpcaConfig()
-    result = _solve(ch, scenario, scheme, Objective(args.objective), args.mode, config)
+    result = _solve(ch, scenario, scheme, Objective(args.objective), args.mode)
     rates, iters, converged = result.rates, result.iterations, result.converged
     out = Path(args.out)
     _write_csv(out / "solution.csv", [RESULT_HEADER, _result_row(result)])
     if args.objective == "sum" and scenario.panel.rows * scenario.panel.cols:
         _write_beta(result.beta, scenario.panel, out / "beta.csv")
     manifest = {**{f"scenario.{k}": v for k, v in scenario_entries(scenario).items()},
-                **{f"spca.{k}": v for k, v in asdict(config).items()},
+                **SPCA_ENTRIES,
                 "scheme": scheme.value, "mode": args.mode, "objective": args.objective,
                 "tool.version": TOOL_VERSION, "seed": args.seed, "converged": converged}
     write_kv_file(manifest, out / "manifest.txt")

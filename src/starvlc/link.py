@@ -93,7 +93,7 @@ def sinr(
 
 def rate(sinr_value: float) -> float:
     """Achievable rate (bpcu) of a link with the given SINR."""
-    if sinr_value < 0.0:
+    if not sinr_value >= 0.0:  # NaN fails too
         raise ValueError(f"SINR must be nonnegative, got {sinr_value}")
     return 0.5 * math.log2(1.0 + RATE_SINR_SCALE * sinr_value)
 

@@ -15,12 +15,15 @@ With the signal term A_k and interference-norm term V_k defined per scheme
     u_k(beta) = max(0, 2 * theta_k * A_k(beta) - theta_k^2 * V_k(beta)^2)
 
 and the reduced objective is sum_k w_k * 0.5 * log2(1 + (e/2pi) * u_k).
+
+Every solver runs with one fixed set of settings, `SETTINGS`; none takes
+settings as an argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -47,6 +50,9 @@ class Objective(Enum):
 
 @dataclass(frozen=True)
 class SpcaConfig:
+    """The solver's fixed settings. `SETTINGS` is the one instance the
+    solvers read; run manifests record it field by field (`spca.*`)."""
+
     theta_init: float = 100.0
     tolerance: float = 1e-6
     max_outer_iterations: int = 50
@@ -57,14 +63,8 @@ class SpcaConfig:
     step_init: float = 1.0
     beta_init: float = 0.5
 
-    def __post_init__(self):
-        for name in ("theta_init", "tolerance", "max_outer_iterations",
-                     "inner_tolerance", "max_inner_iterations", "armijo_shrink",
-                     "armijo_slope", "step_init"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.beta_init <= 1.0:
-            raise ValueError("beta_init must lie in [0, 1]")
+
+SETTINGS = SpcaConfig()
 
 
 @dataclass(frozen=True)
@@ -198,18 +198,15 @@ class _ReducedProblem:
 
 
 def reduced_objective(beta, theta, channels: ChannelSet, scenario: Scenario,
-                      scheme: DetectorScheme, weights=(1.0, 1.0)):
-    """Reduced-objective value and exact gradient at `beta`.
+                      scheme: DetectorScheme):
+    """Reduced sum-rate objective value and exact gradient at `beta`.
 
-    `theta` is the pair of surrogate parameters (array-like of length 2, or a
-    SurrogateState).
+    `theta` is the pair of surrogate parameters (array-like of length 2).
     """
-    if isinstance(theta, SurrogateState):
-        theta = theta.theta
     theta = np.asarray(theta, dtype=float)
     if np.any(theta <= 0.0):
         raise ValueError("surrogate parameters must be positive")
-    prob = _ReducedProblem(channels, scenario, scheme, weights)
+    prob = _ReducedProblem(channels, scenario, scheme)
     beta = np.asarray(beta, dtype=float)
     return prob.value_grad(beta, theta)
 
@@ -219,23 +216,23 @@ def _project(beta: np.ndarray) -> np.ndarray:
 
 
 def _pga(prob: _ReducedProblem, theta: np.ndarray, beta0: np.ndarray,
-         config: SpcaConfig, minmax: bool = False) -> tuple[np.ndarray, bool]:
+         minmax: bool = False) -> tuple[np.ndarray, bool]:
     """Projected gradient ascent over the box with BB step + Armijo backtracking.
 
     The spectral step keeps the iteration scale-invariant; the very first
-    step falls back to `config.step_init`.
+    step falls back to `SETTINGS.step_init`.
     """
     fg = prob.min_value_grad if minmax else prob.value_grad
     beta = _project(np.asarray(beta0, dtype=float).copy())
     if beta.size == 0:
         return beta, True
     f, g = fg(beta, theta)
-    step = config.step_init
+    step = SETTINGS.step_init
     prev_beta = None
     prev_g = None
-    for _ in range(config.max_inner_iterations):
+    for _ in range(SETTINGS.max_inner_iterations):
         pg = _project(beta + g) - beta
-        if float(np.max(np.abs(pg))) < config.inner_tolerance:
+        if float(np.max(np.abs(pg))) < SETTINGS.inner_tolerance:
             return beta, True
         if prev_beta is not None:
             db = beta - prev_beta
@@ -244,7 +241,7 @@ def _pga(prob: _ReducedProblem, theta: np.ndarray, beta0: np.ndarray,
             if denom < 0.0:  # ascent: curvature along db should be negative
                 step = float(db @ db) / (-denom)
             else:
-                step = config.step_init
+                step = SETTINGS.step_init
             step = min(max(step, 1e-12), 1e12)
         accepted = False
         t = step
@@ -254,10 +251,10 @@ def _pga(prob: _ReducedProblem, theta: np.ndarray, beta0: np.ndarray,
             if float(np.max(np.abs(d))) == 0.0:
                 break
             fc, gc = fg(cand, theta)
-            if fc >= f + config.armijo_slope * float(g @ d):
+            if fc >= f + SETTINGS.armijo_slope * float(g @ d):
                 accepted = True
                 break
-            t *= config.armijo_shrink
+            t *= SETTINGS.armijo_shrink
         if not accepted:
             # no ascent step found: treat as converged at a stationary point
             return beta, True
@@ -267,20 +264,17 @@ def _pga(prob: _ReducedProblem, theta: np.ndarray, beta0: np.ndarray,
 
 
 def solve_subproblem(theta, channels: ChannelSet, scenario: Scenario,
-                     scheme: DetectorScheme, config: SpcaConfig | None = None,
-                     beta0=None, weights=(1.0, 1.0), minmax: bool = False):
-    """Maximize the reduced objective over the box for fixed theta.
+                     scheme: DetectorScheme):
+    """Maximize the reduced sum-rate objective over the box for fixed theta,
+    from the midpoint start `SETTINGS.beta_init`.
 
     Returns (beta, inner_converged).
     """
-    config = config or SpcaConfig()
     theta = np.asarray(theta, dtype=float)
     if np.any(theta <= 0.0):
         raise ValueError("surrogate parameters must be positive")
-    prob = _ReducedProblem(channels, scenario, scheme, weights)
-    if beta0 is None:
-        beta0 = np.full(prob.n, config.beta_init)
-    return _pga(prob, theta, np.asarray(beta0, dtype=float), config, minmax=minmax)
+    prob = _ReducedProblem(channels, scenario, scheme)
+    return _pga(prob, theta, np.full(prob.n, SETTINGS.beta_init))
 
 
 def _recover_auxiliaries(prob: _ReducedProblem, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,18 +307,17 @@ def _theta_update(u: np.ndarray, v: np.ndarray, theta_prev: np.ndarray) -> np.nd
 
 
 def _spca_loop(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
-               config: SpcaConfig, weights=(1.0, 1.0), minmax: bool = False,
-               beta0: float | None = None) -> SpcaResult:
+               beta0: float, weights, minmax: bool) -> SpcaResult:
     prob = _ReducedProblem(channels, scenario, scheme, weights)
-    theta = np.full(2, config.theta_init)
-    beta = np.full(prob.n, config.beta_init if beta0 is None else beta0)
+    theta = np.full(2, SETTINGS.theta_init)
+    beta = np.full(prob.n, beta0)
     trace: list[TraceEntry] = []
     prev = None  # (beta, u, v) of the previous outer iteration
     converged = False
     inner_ok = True
     iterations = 0
-    for _m in range(config.max_outer_iterations):
-        beta, ok = _pga(prob, theta, beta, config, minmax=minmax)
+    for _m in range(SETTINGS.max_outer_iterations):
+        beta, ok = _pga(prob, theta, beta, minmax=minmax)
         inner_ok = inner_ok and ok
         iterations += 1
         u, v = _recover_auxiliaries(prob, beta)
@@ -339,7 +332,7 @@ def _spca_loop(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
                 float(np.max(np.abs(u - prev[1]))),
                 float(np.max(np.abs(v - prev[2]))),
             )
-            if delta < config.tolerance:
+            if delta < SETTINGS.tolerance:
                 converged = True
                 break
         prev = (beta.copy(), u.copy(), v.copy())
@@ -356,35 +349,30 @@ def _score(result: SpcaResult, weights, minmax: bool) -> float:
 
 
 def _spca_multistart(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
-                     config: SpcaConfig, weights=(1.0, 1.0), minmax: bool = False) -> SpcaResult:
-    """Run the outer loop from the configured start plus the two vertex
+                     weights=(1.0, 1.0), minmax: bool = False) -> SpcaResult:
+    """Run the outer loop from the midpoint start plus the two vertex
     starts and keep the best exact objective.
 
     The sum-rate landscape splits into a serve-user-1 and a serve-user-2
     basin; a single local ascent from the midpoint can settle in the wrong
     one, so the all-reflect and all-transmit starts cover both.
     """
-    starts = [config.beta_init]
-    for extra in (0.0, 1.0):
-        if extra not in starts:
-            starts.append(extra)
     best = None
-    for beta0 in starts:
-        result = _spca_loop(channels, scenario, scheme, config, weights=weights,
-                            minmax=minmax, beta0=beta0)
+    for beta0 in (SETTINGS.beta_init, 0.0, 1.0):
+        result = _spca_loop(channels, scenario, scheme, beta0, weights, minmax)
         if best is None or _score(result, weights, minmax) > _score(best, weights, minmax):
             best = result
     return best
 
 
-def spca_optimize(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
-                  config: SpcaConfig | None = None) -> SpcaResult:
+def spca_optimize(channels: ChannelSet, scenario: Scenario,
+                  scheme: DetectorScheme) -> SpcaResult:
     """Energy-splitting sum-rate maximization (continuous coefficients)."""
-    return _spca_multistart(channels, scenario, scheme, config or SpcaConfig())
+    return _spca_multistart(channels, scenario, scheme)
 
 
-def mode_switching_optimize(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
-                            config: SpcaConfig | None = None) -> SpcaResult:
+def mode_switching_optimize(channels: ChannelSet, scenario: Scenario,
+                            scheme: DetectorScheme) -> SpcaResult:
     """Binary (fully reflect / fully transmit) coefficients.
 
     Runs the continuous optimizer, then rounds the fractional coordinates in
@@ -399,7 +387,7 @@ def mode_switching_optimize(channels: ChannelSet, scenario: Scenario, scheme: De
     two gains along and scores each candidate from them in O(1): O(N) in
     all, where a full sum-rate evaluation per candidate would cost O(N^2).
     """
-    result = spca_optimize(channels, scenario, scheme, config)
+    result = spca_optimize(channels, scenario, scheme)
     beta = result.beta.copy()
     h1, h2 = effective_channels(channels, beta)
     fractional = np.flatnonzero((beta > 0.0) & (beta < 1.0))
@@ -419,17 +407,16 @@ def mode_switching_optimize(channels: ChannelSet, scenario: Scenario, scheme: De
                       converged=result.converged, iterations=result.iterations)
 
 
-def time_sharing_optimize(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
-                          config: SpcaConfig | None = None) -> TimeSharingResult:
+def time_sharing_optimize(channels: ChannelSet, scenario: Scenario,
+                          scheme: DetectorScheme) -> TimeSharingResult:
     """Best alpha * R1 + (1 - alpha) * R2 over coefficients and alpha in [0, 1].
 
     For fixed coefficients the objective is linear in alpha, so the joint
     optimum sits at an alpha endpoint: it is the larger of the two
     single-user optima. Ties go to alpha = 1.
     """
-    config = config or SpcaConfig()
-    best_r1 = _spca_multistart(channels, scenario, scheme, config, weights=(1.0, 0.0))
-    best_r2 = _spca_multistart(channels, scenario, scheme, config, weights=(0.0, 1.0))
+    best_r1 = _spca_multistart(channels, scenario, scheme, weights=(1.0, 0.0))
+    best_r2 = _spca_multistart(channels, scenario, scheme, weights=(0.0, 1.0))
     if best_r1.rates.r1 >= best_r2.rates.r2:
         win, alpha = best_r1, 1.0
     else:
@@ -439,10 +426,10 @@ def time_sharing_optimize(channels: ChannelSet, scenario: Scenario, scheme: Dete
                              iterations=best_r1.iterations + best_r2.iterations)
 
 
-def max_min_optimize(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
-                     config: SpcaConfig | None = None) -> SpcaResult:
+def max_min_optimize(channels: ChannelSet, scenario: Scenario,
+                     scheme: DetectorScheme) -> SpcaResult:
     """Maximize min(R1, R2) over the box (max-min fairness benchmark)."""
-    result = _spca_multistart(channels, scenario, scheme, config or SpcaConfig(), minmax=True)
+    result = _spca_multistart(channels, scenario, scheme, minmax=True)
     degenerate = min(result.rates.r1, result.rates.r2) == 0.0
     if degenerate:
         return SpcaResult(beta=result.beta, rates=result.rates, trace=result.trace,

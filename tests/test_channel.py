@@ -10,6 +10,7 @@ from starvlc import (
     OrientedPoint,
     RisPanel,
     Scenario,
+    build_ris_grid,
     channel_set,
     h_los,
     h_reflect,
@@ -120,13 +121,31 @@ class TestRelayed:
 
 class TestChannelSet:
     def test_matches_per_element_functions(self):
+        """Both the vectors and the per-element functions equal the relayed
+        gain written out from each element's position: m = 1 (60 deg
+        half angle), A = 1.5e-4, G = 10, every listed element inside the FOV."""
         sc = reference_scenario()
         ch = channel_set(sc)
+        elements = build_ris_grid(sc.panel)
+        ap = sc.ap.position
+
+        def relayed(ue, element):
+            d1 = math.dist(ue.position, element)
+            d2 = math.dist(element, ap)
+            cos_phi = float(np.dot(element - ue.position, ue.normal)) / d1
+            cos_psi = float(np.dot(element - ap, sc.ap.normal)) / d2
+            return 1.5e-4 * 2.0 / (2.0 * math.pi * (d1 + d2) ** 2) * cos_phi * cos_psi * 10.0
+
         assert ch.element_count == 80
         assert ch.h_los == h_los(sc)
         for i in [0, 1, 7, 8, 39, 79]:
-            assert ch.h_reflect[i] == pytest.approx(h_reflect(sc, i), rel=1e-14)
-            assert ch.h_transmit[i] == pytest.approx(h_transmit(sc, i), rel=1e-14)
+            reflect = relayed(sc.ue1, elements[i])
+            transmit = relayed(sc.ue2, elements[i])
+            assert reflect > 0.0 and transmit > 0.0
+            assert ch.h_reflect[i] == pytest.approx(reflect, rel=1e-13)
+            assert h_reflect(sc, i) == pytest.approx(reflect, rel=1e-13)
+            assert ch.h_transmit[i] == pytest.approx(transmit, rel=1e-13)
+            assert h_transmit(sc, i) == pytest.approx(transmit, rel=1e-13)
 
     def test_all_gains_nonnegative_and_finite(self):
         rng = np.random.default_rng(42)
@@ -155,6 +174,14 @@ class TestChannelSet:
     def test_mismatched_vectors_rejected(self):
         with pytest.raises(ValueError):
             ChannelSet(h_los=0.0, h_reflect=np.zeros(3), h_transmit=np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("gain", ["h_los", "h_reflect", "h_transmit"])
+    def test_non_finite_gains_rejected(self, gain, bad):
+        gains = {"h_los": 1e-6, "h_reflect": [1e-6, 2e-6], "h_transmit": [1e-6, 2e-6]}
+        gains[gain] = bad if gain == "h_los" else [1e-6, bad]
+        with pytest.raises(ValueError, match="finite"):
+            ChannelSet(**gains)
 
     def test_empty_panel(self):
         sc = reference_scenario()

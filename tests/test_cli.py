@@ -32,8 +32,6 @@ from starvlc.cli import (
 from starvlc.spca import Objective, SpcaConfig
 from util import reference_scenario
 
-FAST = SpcaConfig()
-
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -325,7 +323,8 @@ class TestCliEntry:
         assert "ris.rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["power.ue1 = abc", "noise.variance = None",
-                                      "ris.pitch = [0.1]", "detector.gain = True"])
+                                      "ris.pitch = [0.1]", "detector.gain = True",
+                                      "ap.position = [1, 'a', 2]", "ris.center = None"])
     def test_non_numeric_scalar_exit_code(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(line + "\n")

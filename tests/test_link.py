@@ -126,6 +126,8 @@ class TestRate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             rate(-1e-9)
+        with pytest.raises(ValueError):
+            rate(math.nan)
 
 
 class TestRatePair:

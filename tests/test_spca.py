@@ -8,7 +8,6 @@ import pytest
 from starvlc import (
     ChannelSet,
     DetectorScheme,
-    SpcaConfig,
     channel_set,
     max_min_optimize,
     mode_switching_optimize,
@@ -171,12 +170,6 @@ class TestSpca:
         assert result.beta.shape == (0,)
         assert result.rates.r2 == 0.0  # nothing reaches the AP from room 2
         assert result.rates.r1 > 0.0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SpcaConfig(theta_init=0.0)
-        with pytest.raises(ValueError):
-            SpcaConfig(beta_init=1.5)
 
 
 def reference_rounding(channels, scenario, scheme, beta):
