@@ -6,16 +6,12 @@ whose 2^(N-k) subset sums of `hr` and `ht` are walked in a Python loop, and
 k trailing ones, whose 2^k subset sums are built once. Each step adds one
 leading subset sum to the whole trailing array, so the two effective gains
 of a block cost one vector add each and memory stays O(2^k) at every N.
-
-`enumerate_vertices_py` is the pure-Python Gray-code reference that the
-tests compare against.
+The tests hold it to a pure-Python Gray-code reference, tests/gray_reference.py.
 """
 
 import math
 
 import numpy as np
-
-from ._gray_py import enumerate_vertices as enumerate_vertices_py
 
 BACKEND = "numpy"
 

@@ -10,7 +10,7 @@ beyond 90 degrees zero the gain (a Lambertian source emits nothing backwards).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,8 @@ from .geometry import (
     LambertianSource,
     OrientedPoint,
     RisPanel,
-    as_vec3,
     build_ris_grid,
+    fieldwise_eq,
 )
 
 
@@ -44,7 +44,7 @@ class OpticalFrontEnd:
             raise ValueError(f"responsivity must be positive, got {self.responsivity}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Scenario:
     """Full physical setup of the two-room uplink."""
 
@@ -72,21 +72,6 @@ class Scenario:
         if s_ap * s2 > 0.0:
             raise ValueError("ue2 must lie on the opposite side of the panel plane from the ap")
 
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (
-            self.ap == other.ap
-            and self.ue1 == other.ue1
-            and self.ue2 == other.ue2
-            and self.source == other.source
-            and self.panel == other.panel
-            and self.front_end == other.front_end
-            and self.p1 == other.p1
-            and self.p2 == other.p2
-            and self.noise_variance == other.noise_variance
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ChannelSet:
@@ -109,14 +94,7 @@ class ChannelSet:
     def element_count(self) -> int:
         return self.h_reflect.size
 
-    def __eq__(self, other):
-        if not isinstance(other, ChannelSet):
-            return NotImplemented
-        return (
-            self.h_los == other.h_los
-            and np.array_equal(self.h_reflect, other.h_reflect)
-            and np.array_equal(self.h_transmit, other.h_transmit)
-        )
+    __eq__ = fieldwise_eq
 
 
 def _gain_factor(scenario: Scenario) -> float:

@@ -7,11 +7,15 @@ Config files are flat key-value text with dotted keys, e.g.
     source.half_angle_deg = 60.0
 
 Angles are in degrees; all other quantities are SI (meters, watts, m^2).
+A scenario key is `<object>.<field>`: `OBJECT_KEYS` maps each object prefix
+to the `Scenario` field holding it, whose dataclass fields name the rest,
+and `SCALAR_KEYS` names the scenario's own scalars. With the fields of
+`SweepSpec` (`sweep.<field>`) these are the only lists of config keys.
 Unknown keys are rejected; missing keys fall back to the default simulation
 parameters (default room: 5 x 5 x 3 m rooms, AP on the room-1 ceiling,
-10 x 8 panel in the wall between the rooms). Integer keys reject fractions
-and `sweep.oracle_check` takes only True or False. `scenario_entries` and the
-fields of `SweepSpec` are the only lists of config keys.
+10 x 8 panel in the wall between the rooms). Each value is checked by the
+type of its default (integer keys reject fractions, `sweep.oracle_check`
+takes only True or False), and a value out of range is reported with its key.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import math
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -76,7 +81,10 @@ def default_scenario() -> Scenario:
 def parse_kv_file(path) -> dict:
     """Parse a flat key-value config file into a dict."""
     entries = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not a text file ({err})") from err
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -90,7 +98,7 @@ def parse_kv_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: empty key")
         try:
             entries[key] = ast.literal_eval(value)
-        except (ValueError, SyntaxError):
+        except (ValueError, TypeError, SyntaxError):
             entries[key] = value  # bare string, e.g. scheme names
     return entries
 
@@ -123,9 +131,11 @@ def _integer(value) -> int:
 
 
 def _real(value):
-    """`value` if it is an int or a float; a bool or a non-number is an error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
+    """`value` if it is a finite int or float; a bool, an infinity or a
+    non-number is an error."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return value
 
 
@@ -143,38 +153,50 @@ def _boolean(value) -> bool:
     return value
 
 
-_INTEGER_KEYS = ("ris.rows", "ris.cols")
+# The scenario's config keys. An object's keys are `<prefix>.<field>` for
+# each of its dataclass fields; the prefix names the Scenario field holding it.
+OBJECT_KEYS = {"ap": "ap", "ue1": "ue1", "ue2": "ue2", "ris": "panel",
+               "source": "source", "detector": "front_end"}
+SCALAR_KEYS = {"power.ue1": "p1", "power.ue2": "p2", "noise.variance": "noise_variance"}
+# A key's value is parsed by the type of its default.
+_PARSE_LIKE = {list: _vector3, int: _integer, float: _real}
 
 
-def _scenario_from_entries(entries: dict, base: Scenario | None = None) -> Scenario:
-    """Scenario from config entries over `base` (default: the built-in one).
+def _keys(prefix: str, obj) -> dict:
+    """`<prefix>.<field>` -> field name, for each field of `obj`."""
+    return {f"{prefix}.{f.name}": f.name for f in fields(obj)}
+
+
+def _build(cls, kwargs: dict, given: list):
+    """`cls(**kwargs)`, turning a rejected value into a ConfigError that
+    names the `given` keys it was built from."""
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{', '.join(given)}: {err}") from err
+
+
+def _scenario_from_entries(entries: dict) -> Scenario:
+    """Scenario from config entries over the default one.
 
     `sweep.*` keys are left to `load_sweep_spec`; any other key that is not
-    a scenario key is a ConfigError; `scenario_entries(base)` fills the rest.
+    a scenario key is a ConfigError. Each object is built from its own keys,
+    so a value it rejects is reported with the keys the entries gave for it.
     """
-    defaults = scenario_entries(base or default_scenario())
+    base = default_scenario()
+    defaults = scenario_entries(base)
     given = {k: v for k, v in entries.items() if not k.startswith("sweep.")}
     _reject_unknown_keys(given, list(defaults))
-    cfg = {**defaults, **given}
-    for key, default in defaults.items():
-        parse = (_integer if key in _INTEGER_KEYS
-                 else _vector3 if isinstance(default, list) else _real)
-        cfg[key] = _parse(key, parse, cfg[key])
-    try:
-        return Scenario(
-            ap=OrientedPoint(cfg["ap.position"], cfg["ap.normal"]),
-            ue1=OrientedPoint(cfg["ue1.position"], cfg["ue1.normal"]),
-            ue2=OrientedPoint(cfg["ue2.position"], cfg["ue2.normal"]),
-            source=LambertianSource(cfg["source.half_angle_deg"]),
-            panel=RisPanel(center=cfg["ris.center"], rows=cfg["ris.rows"], cols=cfg["ris.cols"],
-                           pitch=cfg["ris.pitch"], normal=cfg["ris.normal"]),
-            front_end=OpticalFrontEnd(area=cfg["detector.area"], fov_deg=cfg["detector.fov_deg"],
-                                      gain=cfg["detector.gain"],
-                                      responsivity=cfg["detector.responsivity"]),
-            p1=cfg["power.ue1"], p2=cfg["power.ue2"], noise_variance=cfg["noise.variance"],
-        )
-    except ValueError as err:
-        raise ConfigError(f"invalid scenario: {err}") from err
+    cfg = {key: _parse(key, _PARSE_LIKE[type(default)], given[key]) if key in given
+           else default for key, default in defaults.items()}
+    values = {}
+    for prefix, name in OBJECT_KEYS.items():
+        default = getattr(base, name)
+        keys = _keys(prefix, default)
+        values[name] = _build(type(default), {field: cfg[key] for key, field in keys.items()},
+                              [key for key in keys if key in given])
+    values.update({name: cfg[key] for key, name in SCALAR_KEYS.items()})
+    return _build(Scenario, values, list(given))
 
 
 def load_scenario(path) -> Scenario:
@@ -183,37 +205,20 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_entries(sc: Scenario) -> dict:
-    as_floats = lambda v: [float(x) for x in v]
-    return {
-        "ap.position": as_floats(sc.ap.position),
-        "ap.normal": as_floats(sc.ap.normal),
-        "ue1.position": as_floats(sc.ue1.position),
-        "ue1.normal": as_floats(sc.ue1.normal),
-        "ue2.position": as_floats(sc.ue2.position),
-        "ue2.normal": as_floats(sc.ue2.normal),
-        "ris.center": as_floats(sc.panel.center),
-        "ris.rows": sc.panel.rows,
-        "ris.cols": sc.panel.cols,
-        "ris.pitch": sc.panel.pitch,
-        "ris.normal": as_floats(sc.panel.normal),
-        "source.half_angle_deg": sc.source.half_angle_deg,
-        "detector.area": sc.front_end.area,
-        "detector.fov_deg": sc.front_end.fov_deg,
-        "detector.gain": sc.front_end.gain,
-        "detector.responsivity": sc.front_end.responsivity,
-        "power.ue1": sc.p1,
-        "power.ue2": sc.p2,
-        "noise.variance": sc.noise_variance,
-    }
+    """The scenario's config entries, as `load_scenario` reads them; arrays
+    are written as lists of floats."""
+    entries = {}
+    for prefix, name in OBJECT_KEYS.items():
+        obj = getattr(sc, name)
+        entries.update({key: getattr(obj, field) for key, field in _keys(prefix, obj).items()})
+    entries.update({key: getattr(sc, name) for key, name in SCALAR_KEYS.items()})
+    return {key: [float(x) for x in v] if isinstance(v, np.ndarray) else v
+            for key, v in entries.items()}
 
 
 def write_kv_file(entries: dict, path) -> None:
     lines = [f"{key} = {value!r}" for key, value in entries.items()]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_scenario(scenario: Scenario, path) -> None:
-    write_kv_file(scenario_entries(scenario), path)
 
 
 @dataclass(frozen=True)
@@ -287,22 +292,36 @@ def sweep_values(spec: SweepSpec) -> list[float]:
 
 
 def scenario_at(spec: SweepSpec, value: float) -> Scenario:
+    """The spec's scenario with its swept parameter at `value`; a value the
+    scenario rejects is a ConfigError naming the parameter."""
     sc = spec.scenario
-    if spec.parameter in POSITION_SWEEPS:
-        name = POSITION_SWEEPS[spec.parameter]
-        point = getattr(sc, name)
-        return replace(sc, **{name: OrientedPoint([value, *point.position[1:]], point.normal)})
-    if spec.parameter == "element_count":
-        rows = int(value) // sc.panel.cols
-        return replace(sc, panel=replace(sc.panel, rows=rows))
-    if spec.parameter == "power_both":
-        return replace(sc, p1=value, p2=value)
+    try:
+        if spec.parameter in POSITION_SWEEPS:
+            name = POSITION_SWEEPS[spec.parameter]
+            point = getattr(sc, name)
+            return replace(sc, **{name: OrientedPoint([value, *point.position[1:]],
+                                                      point.normal)})
+        if spec.parameter == "element_count":
+            rows = int(value) // sc.panel.cols
+            return replace(sc, panel=replace(sc.panel, rows=rows))
+        if spec.parameter == "power_both":
+            return replace(sc, p1=value, p2=value)
+    except ValueError as err:
+        raise ConfigError(f"sweep {spec.parameter} = {value!r}: {err}") from err
     raise ConfigError(f"unknown sweep parameter {spec.parameter!r}")
 
 
 def no_ris_rate_ue1(scenario: Scenario) -> float:
     """UE1's rate over the bare LOS link (no panel, hence no interference)."""
     return rates_from_gains(h_los(scenario), 0.0, scenario, DetectorScheme.SIC).r1
+
+
+def _channels(scenario: Scenario):
+    """`channel_set(scenario)`; geometry it cannot use is a ConfigError."""
+    try:
+        return channel_set(scenario)
+    except ValueError as err:
+        raise ConfigError(f"invalid scenario geometry: {err}") from err
 
 
 def _solve(channels, scenario: Scenario, scheme: DetectorScheme, objective: Objective,
@@ -356,7 +375,7 @@ def run_sweep(spec: SweepSpec, out_dir, seed: int | None = None) -> bool:
     for value in values:
         scenario = scenario_at(spec, value)
         t0 = time.perf_counter()
-        ch = channel_set(scenario)
+        ch = _channels(scenario)
         result = _solve(ch, scenario, spec.scheme, spec.objective, spec.mode)
         elapsed = time.perf_counter() - t0
         all_converged = all_converged and result.converged
@@ -375,19 +394,10 @@ def run_sweep(spec: SweepSpec, out_dir, seed: int | None = None) -> bool:
     return all_converged
 
 
-def _write_beta(beta: np.ndarray, panel, out_path) -> np.ndarray:
+def _write_beta(beta: np.ndarray, panel, out_path) -> None:
     """Write `beta` as the panel's rows x cols reflection matrix in CSV."""
     matrix = beta.reshape(panel.rows, panel.cols)
     _write_csv(Path(out_path), ([repr(float(v)) for v in row] for row in matrix))
-    return matrix
-
-
-def dump_beta(scenario: Scenario, scheme: DetectorScheme, out_path,
-              mode: str = "es") -> np.ndarray:
-    """Solve the scenario and write the rows x cols reflection matrix as CSV."""
-    ch = channel_set(scenario)
-    result = _solve(ch, scenario, scheme, Objective.SUM_RATE, mode)
-    return _write_beta(result.beta, scenario.panel, out_path)
 
 
 def _add_common(parser):
@@ -430,7 +440,7 @@ def _load_or_default(path) -> Scenario:
 
 def _cmd_solve(args) -> int:
     scenario = _load_or_default(args.scenario)
-    ch = channel_set(scenario)
+    ch = _channels(scenario)
     scheme = DetectorScheme(args.scheme)
     result = _solve(ch, scenario, scheme, Objective(args.objective), args.mode)
     rates, iters, converged = result.rates, result.iterations, result.converged
@@ -458,7 +468,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     scenario = _load_or_default(args.scenario)
-    ch = channel_set(scenario)
+    ch = _channels(scenario)
+    if ch.element_count > MAX_ENUM_ELEMENTS:
+        raise ConfigError(f"oracle: the panel has {ch.element_count} elements and vertex "
+                          f"enumeration is capped at {MAX_ENUM_ELEMENTS}")
     report = vertex_enumerate(ch, scenario, DetectorScheme(args.scheme))
     best = report.best_rates
     _write_csv(Path(args.out) / "oracle.csv",
@@ -471,8 +484,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.grid_points < 3:
+        raise ConfigError(f"--grid-points must be at least 3, got {args.grid_points}")
     scenario = _load_or_default(args.scenario)
-    ch = channel_set(scenario)
+    ch = _channels(scenario)
     scheme = DetectorScheme(args.scheme)
     result = spca_optimize(ch, scenario, scheme)
     values, argmax = coordinate_scan(ch, scenario, scheme, result.beta,
@@ -486,12 +501,17 @@ def _cmd_scan(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command. Exit code 0 on success, 1 on a usage, config or file
+    error, 2 when the solver did not converge (its results are still written)."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exit_:  # argparse exits 0 after --help, 2 on a usage error
+        return 1 if exit_.code else 0
     commands = {"solve": _cmd_solve, "sweep": _cmd_sweep, "oracle": _cmd_oracle,
                 "scan": _cmd_scan}
     try:
         return commands[args.command](args)
-    except (ConfigError, ValueError, OSError) as err:
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

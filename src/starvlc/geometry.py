@@ -9,17 +9,19 @@ round-trip exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    """Build a finite 3-vector."""
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"non-finite vector components: {v}")
-    return v
+def fieldwise_eq(self, other):
+    """`==` for a dataclass that holds arrays: the same class and every field
+    equal under `np.array_equal`. A class that declares `__eq__ = fieldwise_eq`
+    stays unhashable, as arrays are."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self))
 
 
 def as_vec3(value) -> np.ndarray:
@@ -36,18 +38,6 @@ def unit(v: np.ndarray) -> np.ndarray:
     if n == 0.0:
         raise ValueError("cannot normalize a zero vector")
     return v / n
-
-
-def angle_between(a, b) -> float:
-    """Angle in [0, pi] between two nonzero vectors."""
-    a = as_vec3(a)
-    b = as_vec3(b)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("angle_between requires nonzero vectors")
-    c = float(np.dot(a, b)) / (na * nb)
-    return math.acos(min(1.0, max(-1.0, c)))
 
 
 def lambertian_order(half_angle: float) -> float:
@@ -88,12 +78,7 @@ class OrientedPoint:
         if abs(n - 1.0) > 1e-9:
             raise ValueError(f"normal must be unit length, got norm {n}")
 
-    def __eq__(self, other):
-        if not isinstance(other, OrientedPoint):
-            return NotImplemented
-        return np.array_equal(self.position, other.position) and np.array_equal(
-            self.normal, other.normal
-        )
+    __eq__ = fieldwise_eq
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,16 +112,7 @@ class RisPanel:
     def element_count(self) -> int:
         return self.rows * self.cols
 
-    def __eq__(self, other):
-        if not isinstance(other, RisPanel):
-            return NotImplemented
-        return (
-            np.array_equal(self.center, other.center)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.pitch == other.pitch
-            and np.array_equal(self.normal, other.normal)
-        )
+    __eq__ = fieldwise_eq
 
 
 def panel_axes(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:

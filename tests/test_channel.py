@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -214,3 +215,36 @@ class TestScenarioValidation:
             OpticalFrontEnd(fov_deg=95.0)
         with pytest.raises(ValueError):
             OpticalFrontEnd(responsivity=-0.7)
+
+
+def one_element_negated(obj, field):
+    """`obj` with the first nonzero element of its array `field` negated."""
+    values = np.array(getattr(obj, field))
+    i = int(np.flatnonzero(values)[0])
+    values[i] = -values[i]
+    return replace(obj, **{field: values})
+
+
+class TestValueEquality:
+    """Objects holding arrays compare field by field, each array exactly."""
+
+    @pytest.mark.parametrize("name, field", [
+        ("ap", "position"), ("ap", "normal"), ("panel", "center"), ("panel", "normal"),
+        ("channels", "h_reflect"), ("channels", "h_transmit"),
+    ])
+    def test_array_fields(self, name, field):
+        sc = reference_scenario()
+        obj = channel_set(sc) if name == "channels" else getattr(sc, name)
+        assert obj == copy.deepcopy(obj)
+        assert obj != one_element_negated(obj, field)
+
+    def test_scenario(self):
+        sc = reference_scenario()
+        assert sc == copy.deepcopy(sc)
+        assert sc != replace(sc, ap=one_element_negated(sc.ap, "position"))
+        assert sc != replace(sc, p2=0.2)
+
+    def test_other_type_is_unequal(self):
+        sc = reference_scenario()
+        assert sc.panel != sc.ap
+        assert sc != sc.panel

@@ -3,19 +3,20 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import starvlc
-from starvlc import DetectorScheme, OrientedPoint
+from starvlc import DetectorScheme, OrientedPoint, Scenario, channel_set, mode_switching_optimize
 from starvlc.cli import (
+    OBJECT_KEYS,
+    SCALAR_KEYS,
     ConfigError,
     SweepSpec,
     default_scenario,
-    dump_beta,
     load_scenario,
     load_sweep_spec,
     main,
@@ -27,7 +28,6 @@ from starvlc.cli import (
     sweep_entries,
     sweep_values,
     write_kv_file,
-    write_scenario,
 )
 from starvlc.spca import Objective, SpcaConfig
 from util import reference_scenario
@@ -36,6 +36,10 @@ from util import reference_scenario
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def write_scenario(scenario, path):
+    write_kv_file(scenario_entries(scenario), path)
 
 
 class TestKvParsing:
@@ -89,6 +93,18 @@ class TestScenarioRoundTrip:
         path.write_text("power.ue1 = -1.0\n")
         with pytest.raises(ConfigError):
             load_scenario(path)
+
+    def test_key_tables_cover_every_scenario_field(self):
+        """Each Scenario field is reached from exactly one key-table entry,
+        so a new field cannot go missing from config files."""
+        named = [*OBJECT_KEYS.values(), *SCALAR_KEYS.values()]
+        assert sorted(named) == sorted(f.name for f in fields(Scenario))
+
+    def test_entries_are_object_fields(self):
+        sc = default_scenario()
+        expected = [f"{prefix}.{f.name}" for prefix, name in OBJECT_KEYS.items()
+                    for f in fields(getattr(sc, name))] + list(SCALAR_KEYS)
+        assert list(scenario_entries(sc)) == expected
 
 
 class TestSweepSpec:
@@ -253,14 +269,18 @@ class TestNoRisBaseline:
 
 class TestDumpBeta:
     def test_matrix_shape_and_values(self, tmp_path):
+        """`solve` writes beta as the panel's rows x cols matrix, row-major."""
         sc = small_sweep_scenario()
-        out = tmp_path / "beta.csv"
-        matrix = dump_beta(sc, DetectorScheme.SIC, out, mode="ms")
-        assert matrix.shape == (2, 3)
-        rows = read_csv(out)
+        cfg = tmp_path / "scenario.txt"
+        write_scenario(sc, cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(cfg), "--mode", "ms", "--scheme", "sic",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out / "beta.csv")
         assert len(rows) == 2 and len(rows[0]) == 3
         parsed = np.array([[float(v) for v in row] for row in rows])
-        np.testing.assert_array_equal(parsed, matrix)
+        beta = mode_switching_optimize(channel_set(sc), sc, DetectorScheme.SIC).beta
+        np.testing.assert_array_equal(parsed, beta.reshape(2, 3))
         assert set(np.unique(parsed)) <= {0.0, 1.0}
 
 
@@ -315,6 +335,55 @@ class TestCliEntry:
         code = main(["solve", "--scenario", str(tmp_path / "nope.txt")])
         assert code == 1
 
+    def test_binary_file_exit_code(self, tmp_path, capsys):
+        binary = tmp_path / "scenario.bin"
+        binary.write_bytes(b"\xff\xfe\x00power")
+        assert main(["solve", "--scenario", str(binary), "--out", str(tmp_path)]) == 1
+        assert "not a text file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["solve", "--scheme", "bogus"], ["solve", "--nope"],
+                                      ["sweep"], []])
+    def test_usage_error_exit_code(self, argv, capsys):
+        # Exit 2 means a run that did not converge, so a usage error is 1.
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exit_code(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["solve", "--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(starvlc.cli, "spca_optimize", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["solve", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle"], "capped at 24"),
+        (["scan", "--grid-points", "2"], "--grid-points"),
+    ])
+    def test_input_errors_exit_1(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_degenerate_geometry_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.txt"
+        ap = default_scenario().ap.position.tolist()
+        cfg.write_text(f"ue1.position = {ap}\n")
+        assert main(["solve", "--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "degenerate geometry" in capsys.readouterr().err
+
+    def test_sweep_through_the_wall_exit_code(self, tmp_path, capsys):
+        spec_file = tmp_path / "sweep.txt"
+        spec_file.write_text("sweep.parameter = ue1_x\nsweep.start = 4.0\n"
+                             "sweep.stop = 6.0\nsweep.steps = 3\n")
+        assert main(["sweep", str(spec_file), "--out", str(tmp_path / "out")]) == 1
+        assert "ue1_x = 6.0" in capsys.readouterr().err
+
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         typo = tmp_path / "typo.txt"
         typo.write_text("ris.row = 2\n")
@@ -322,9 +391,28 @@ class TestCliEntry:
         assert code == 1
         assert "ris.rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["ap.normal = [0, 0, 2]", "ris.rows = -1",
+                                      "power.ue1 = -5", "ue1.position = [6.0, 2.5, 1.0]",
+                                      "detector.fov_deg = 95.0"])
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(line + "\n")
+        code = main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {line.split(' = ')[0]}:" in err
+        assert "Traceback" not in err
+
+    def test_range_error_names_only_its_objects_keys(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("power.ue2 = 0.2\nris.pitch = 0.05\nris.rows = -1\n")
+        assert main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert "error: ris.rows, ris.pitch: rows and cols" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["power.ue1 = abc", "noise.variance = None",
                                       "ris.pitch = [0.1]", "detector.gain = True",
-                                      "ap.position = [1, 'a', 2]", "ris.center = None"])
+                                      "ap.position = [1, 'a', 2]", "ris.center = None",
+                                      "power.ue1 = 1e400", "ris.pitch = {[1]: 2}"])
     def test_non_numeric_scalar_exit_code(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(line + "\n")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from starvlc import LambertianSource, OrientedPoint, RisPanel, build_ris_grid, lambertian_order
-from starvlc.geometry import angle_between, vec3
 
 
 class TestLambertianOrder:
@@ -32,29 +31,6 @@ class TestLambertianOrder:
         orders = [lambertian_order(a) for a in angles]
         assert all(b < a for a, b in zip(orders, orders[1:]))
         assert all(m > 0 for m in orders)
-
-
-class TestAngleBetween:
-    def test_parallel(self):
-        assert angle_between((1, 0, 0), (1, 0, 0)) == 0.0
-
-    def test_orthogonal(self):
-        assert angle_between((1, 0, 0), (0, 1, 0)) == pytest.approx(math.pi / 2)
-
-    def test_45(self):
-        assert angle_between((1, 1, 0), (1, 0, 0)) == pytest.approx(math.pi / 4)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            angle_between((0, 0, 0), (1, 0, 0))
-
-    def test_symmetric_and_scale_invariant(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            a = rng.normal(size=3)
-            b = rng.normal(size=3)
-            assert angle_between(a, b) == pytest.approx(angle_between(b, a))
-            assert angle_between(2 * a, b) == pytest.approx(angle_between(a, b))
 
 
 class TestRisGrid:
@@ -114,5 +90,7 @@ class TestOrientedPoint:
             OrientedPoint([0, 0, 0], [0, 0, 2.0])
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            vec3(1.0, math.nan, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            OrientedPoint([1.0, math.nan, 0.0], [0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            OrientedPoint([1.0, 0.0, 0.0], [0.0, 0.0, math.inf])

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gray_reference import enumerate_vertices as enumerate_vertices_py
 from starvlc import KERNEL_BACKEND
-from starvlc._kernels import enumerate_vertices, enumerate_vertices_py
+from starvlc._kernels import enumerate_vertices
 
 
 def random_inputs(rng, n):
