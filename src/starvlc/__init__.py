@@ -10,8 +10,6 @@ from .channel import (
     Scenario,
     channel_set,
     h_los,
-    h_reflect,
-    h_transmit,
 )
 from .geometry import LambertianSource, OrientedPoint, RisPanel, build_ris_grid, lambertian_order
 from .link import (
@@ -21,7 +19,7 @@ from .link import (
     rate,
     rate_pair,
     rates_from_gains,
-    sinr,
+    sinr_from_gains,
     sum_rate,
 )
 from .oracle import OracleReport, coordinate_scan, mask_to_beta, vertex_enumerate
@@ -45,8 +43,6 @@ __all__ = [
     "Scenario",
     "channel_set",
     "h_los",
-    "h_reflect",
-    "h_transmit",
     "LambertianSource",
     "OrientedPoint",
     "RisPanel",
@@ -58,7 +54,7 @@ __all__ = [
     "rate",
     "rate_pair",
     "rates_from_gains",
-    "sinr",
+    "sinr_from_gains",
     "sum_rate",
     "OracleReport",
     "coordinate_scan",

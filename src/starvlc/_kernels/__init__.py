@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
-BACKEND = "numpy"
+from ..link import RATE_SINR_SCALE
 
-_C = math.e / (2.0 * math.pi)
+BACKEND = "numpy"
 
 # 2^14 doubles per array: large enough that numpy's per-call overhead is
 # amortised, small enough that a block's temporaries stay in cache.
@@ -63,7 +63,7 @@ def enumerate_vertices(h_los, hr, ht, a1, a2, sigma2, sic):
         s2 = (a2 * h2) ** 2
         t1 = s1 / sigma2 if sic else s1 / (sigma2 + s2)
         t2 = s2 / (sigma2 + s1)
-        val = 0.5 * (np.log2(1.0 + _C * t1) + np.log2(1.0 + _C * t2))
+        val = 0.5 * (np.log2(1.0 + RATE_SINR_SCALE * t1) + np.log2(1.0 + RATE_SINR_SCALE * t2))
         p = int(np.argmax(val))
         if val[p] > best_val:
             best_val = float(val[p])

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
-import math
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -35,7 +34,7 @@ import numpy as np
 from . import __version__
 from .channel import OpticalFrontEnd, Scenario, channel_set, h_los
 from .geometry import LambertianSource, OrientedPoint, RisPanel
-from .link import DetectorScheme, rates_from_gains
+from .link import DetectorScheme, rates_from_gains, sinr_from_gains
 from .oracle import MAX_ENUM_ELEMENTS, coordinate_scan, vertex_enumerate
 from .spca import (
     SETTINGS,
@@ -45,8 +44,6 @@ from .spca import (
     spca_optimize,
     time_sharing_optimize,
 )
-
-TOOL_VERSION = __version__
 
 # Position sweeps move one point along x: parameter -> Scenario field.
 POSITION_SWEEPS = {"ue1_x": "ue1", "ue2_x": "ue2", "ap_x": "ap"}
@@ -130,13 +127,13 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _real(value):
-    """`value` if it is a finite int or float; a bool, an infinity or a
-    non-number is an error."""
+def _real(value) -> float:
+    """`value` as a float, if it is an int or float within the float range;
+    a bool, an infinity, a NaN or a non-number is an error."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise ValueError(f"expected a finite number, got {value!r}")
-    return value
+    return float(value)
 
 
 def _vector3(value) -> list:
@@ -158,8 +155,10 @@ def _boolean(value) -> bool:
 OBJECT_KEYS = {"ap": "ap", "ue1": "ue1", "ue2": "ue2", "ris": "panel",
                "source": "source", "detector": "front_end"}
 SCALAR_KEYS = {"power.ue1": "p1", "power.ue2": "p2", "noise.variance": "noise_variance"}
-# A key's value is parsed by the type of its default.
-_PARSE_LIKE = {list: _vector3, int: _integer, float: _real}
+# Value parsers by type name: a scenario key's value is parsed by the type of
+# its default, a `sweep.*` key's by its SweepSpec annotation.
+_PARSERS = {"list": _vector3, "int": _integer, "float": _real, "bool": _boolean,
+            "str": str, "Objective": Objective, "DetectorScheme": DetectorScheme}
 
 
 def _keys(prefix: str, obj) -> dict:
@@ -187,7 +186,7 @@ def _scenario_from_entries(entries: dict) -> Scenario:
     defaults = scenario_entries(base)
     given = {k: v for k, v in entries.items() if not k.startswith("sweep.")}
     _reject_unknown_keys(given, list(defaults))
-    cfg = {key: _parse(key, _PARSE_LIKE[type(default)], given[key]) if key in given
+    cfg = {key: _parse(key, _PARSERS[type(default).__name__], given[key]) if key in given
            else default for key, default in defaults.items()}
     values = {}
     for prefix, name in OBJECT_KEYS.items():
@@ -249,8 +248,6 @@ class SweepSpec:
 
 
 _SWEEP_FIELDS = {f"sweep.{f.name}": f for f in fields(SweepSpec) if f.name != "scenario"}
-_PARSERS = {"str": str, "float": float, "int": _integer, "bool": _boolean,
-            "Objective": Objective, "DetectorScheme": DetectorScheme}
 
 
 def _sweep_value(key: str, value):
@@ -317,11 +314,21 @@ def no_ris_rate_ue1(scenario: Scenario) -> float:
 
 
 def _channels(scenario: Scenario):
-    """`channel_set(scenario)`; geometry it cannot use is a ConfigError."""
+    """`channel_set(scenario)`; geometry it cannot use, or powers whose
+    received signal power overflows a float, is a ConfigError."""
     try:
-        return channel_set(scenario)
+        ch = channel_set(scenario)
     except ValueError as err:
         raise ConfigError(f"invalid scenario geometry: {err}") from err
+    try:
+        # Either scheme squares each user's signal at its effective gain, and
+        # both gains peak here, so no coefficient vector overflows if these do not.
+        sinr_from_gains(ch.h_los + float(ch.h_reflect.sum()), float(ch.h_transmit.sum()),
+                        scenario, DetectorScheme.SUD)
+    except OverflowError as err:
+        raise ConfigError(f"power.ue1, power.ue2: received signal power overflows a float "
+                          f"({scenario.p1!r} W, {scenario.p2!r} W)") from err
+    return ch
 
 
 def _solve(channels, scenario: Scenario, scheme: DetectorScheme, objective: Objective,
@@ -357,25 +364,26 @@ def _write_csv(path: Path, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def run_sweep(spec: SweepSpec, out_dir, seed: int | None = None) -> bool:
+def run_sweep(spec: SweepSpec, out_dir) -> bool:
     """Execute a sweep; returns True iff every point converged.
 
-    Writes `sweep.csv` (one row per point), `no_ris.csv` with UE1's bare-LOS
+    Every point's scenario and channel set is built before the first solve,
+    so a point the scenario rejects fails the sweep before any work. Writes
+    `sweep.csv` (one row per point), `no_ris.csv` with UE1's bare-LOS
     baseline for position sweeps, and `manifest.txt`.
     """
     out_dir = Path(out_dir)
     values = sweep_values(spec)
+    scenarios = [scenario_at(spec, value) for value in values]
+    channels = [_channels(scenario) for scenario in scenarios]
     rows = [SWEEP_HEADER]
     manifest = {**{f"scenario.{k}": v for k, v in scenario_entries(spec.scenario).items()},
-                **sweep_entries(spec), **SPCA_ENTRIES,
-                "tool.version": TOOL_VERSION, "seed": seed}
+                **sweep_entries(spec), **SPCA_ENTRIES, "tool.version": __version__}
     if spec.parameter == "power_both" and spec.start <= 0.0:
         manifest["note"] = "power sweeps must start above 0 W (efficiency is 0/0 there)"
     all_converged = True
-    for value in values:
-        scenario = scenario_at(spec, value)
+    for value, scenario, ch in zip(values, scenarios, channels):
         t0 = time.perf_counter()
-        ch = _channels(scenario)
         result = _solve(ch, scenario, spec.scheme, spec.objective, spec.mode)
         elapsed = time.perf_counter() - t0
         all_converged = all_converged and result.converged
@@ -389,7 +397,7 @@ def run_sweep(spec: SweepSpec, out_dir, seed: int | None = None) -> bool:
     _write_csv(out_dir / "sweep.csv", rows)
     if spec.parameter in POSITION_SWEEPS:
         _write_csv(out_dir / "no_ris.csv", [["swept_value", "r1_no_ris"]] + [
-            [repr(v), repr(no_ris_rate_ue1(scenario_at(spec, v)))] for v in values])
+            [repr(v), repr(no_ris_rate_ue1(sc))] for v, sc in zip(values, scenarios)])
     write_kv_file(manifest, out_dir / "manifest.txt")
     return all_converged
 
@@ -404,7 +412,6 @@ def _add_common(parser):
     parser.add_argument("--scenario", help="scenario config file (defaults to the built-in setup)")
     parser.add_argument("--scheme", choices=SCHEMES, default="sic")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=SCHEMES, default=None)
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--objective", choices=OBJECTIVES, default=None)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("oracle", help="exhaustive binary-vertex check (small panels)")
     _add_common(p)
@@ -451,7 +457,7 @@ def _cmd_solve(args) -> int:
     manifest = {**{f"scenario.{k}": v for k, v in scenario_entries(scenario).items()},
                 **SPCA_ENTRIES,
                 "scheme": scheme.value, "mode": args.mode, "objective": args.objective,
-                "tool.version": TOOL_VERSION, "seed": args.seed, "converged": converged}
+                "tool.version": __version__, "converged": converged}
     write_kv_file(manifest, out / "manifest.txt")
     print(f"r1={rates.r1:.6f} r2={rates.r2:.6f} sum={rates.sum:.6f} "
           f"iters={iters} converged={converged}")
@@ -463,7 +469,7 @@ def _cmd_sweep(args) -> int:
     given = {"scheme": args.scheme, "mode": args.mode, "objective": args.objective}
     spec = replace(spec, **{name: _sweep_value(f"sweep.{name}", value)
                             for name, value in given.items() if value is not None})
-    return 0 if run_sweep(spec, args.out, seed=args.seed) else 2
+    return 0 if run_sweep(spec, args.out) else 2
 
 
 def _cmd_oracle(args) -> int:

@@ -55,40 +55,19 @@ def effective_channels(channels: ChannelSet, beta) -> tuple[float, float]:
     return h1, h2
 
 
-def sinr_from_gains(
-    h1: float,
-    h2: float,
-    p1: float,
-    p2: float,
-    responsivity: float,
-    noise_variance: float,
-    scheme: DetectorScheme,
-) -> tuple[float, float]:
+def sinr_from_gains(h1: float, h2: float, scenario: Scenario,
+                    scheme: DetectorScheme) -> tuple[float, float]:
     """Post-detection SINRs of the two users for effective gains (H1, H2)."""
-    if noise_variance <= 0.0:
-        raise ValueError(f"noise variance must be positive, got {noise_variance}")
-    s1 = (responsivity * h1 * p1) ** 2
-    s2 = (responsivity * h2 * p2) ** 2
-    sinr2 = s2 / (noise_variance + s1)
+    rho = scenario.front_end.responsivity
+    sigma2 = scenario.noise_variance
+    s1 = (rho * h1 * scenario.p1) ** 2
+    s2 = (rho * h2 * scenario.p2) ** 2
+    sinr2 = s2 / (sigma2 + s1)
     if scheme is DetectorScheme.SIC:
-        sinr1 = s1 / noise_variance
+        sinr1 = s1 / sigma2
     else:
-        sinr1 = s1 / (noise_variance + s2)
+        sinr1 = s1 / (sigma2 + s2)
     return sinr1, sinr2
-
-
-def sinr(
-    channels: ChannelSet,
-    beta,
-    p1: float,
-    p2: float,
-    responsivity: float,
-    noise_variance: float,
-    scheme: DetectorScheme,
-) -> tuple[float, float]:
-    """Post-detection SINRs of the two users."""
-    h1, h2 = effective_channels(channels, beta)
-    return sinr_from_gains(h1, h2, p1, p2, responsivity, noise_variance, scheme)
 
 
 def rate(sinr_value: float) -> float:
@@ -102,9 +81,7 @@ def rates_from_gains(h1: float, h2: float, scenario: Scenario,
                      scheme: DetectorScheme) -> RatePair:
     """Both users' rates, sum-rate and energy efficiency for effective gains
     (H1, H2). Every rate depends on `beta` only through these two scalars."""
-    s1, s2 = sinr_from_gains(h1, h2, scenario.p1, scenario.p2,
-                             scenario.front_end.responsivity, scenario.noise_variance,
-                             scheme)
+    s1, s2 = sinr_from_gains(h1, h2, scenario, scheme)
     r1 = rate(s1)
     r2 = rate(s2)
     total_power = scenario.p1 + scenario.p2

@@ -78,7 +78,7 @@ class SurrogateState:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    objective: float  # reduced (surrogate) objective value
+    objective: float  # the reduced objective `_pga` maximised, at the iterate
     sum_rate: float  # exact sum-rate at the iterate
     state: SurrogateState
 
@@ -90,7 +90,6 @@ class SpcaResult:
     trace: list[TraceEntry]
     converged: bool
     iterations: int
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -140,14 +139,6 @@ class _ReducedProblem:
             a = np.array([g1, g2])
             v2 = np.array([g2 * g2 + self.sigma2, g1 * g1 + self.sigma2])
         return a, v2
-
-    def u_of(self, beta: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        a, v2 = self.terms(beta)
-        return np.maximum(0.0, 2.0 * theta * a - theta * theta * v2)
-
-    def value(self, beta: np.ndarray, theta: np.ndarray) -> float:
-        u = self.u_of(beta, theta)
-        return float(self.weights @ (0.5 * np.log2(1.0 + RATE_SINR_SCALE * u)))
 
     def user_values_grads(self, beta: np.ndarray, theta: np.ndarray):
         """Per-user reduced rate values and gradients w.r.t. beta."""
@@ -215,14 +206,13 @@ def _project(beta: np.ndarray) -> np.ndarray:
     return np.clip(beta, 0.0, 1.0)
 
 
-def _pga(prob: _ReducedProblem, theta: np.ndarray, beta0: np.ndarray,
-         minmax: bool = False) -> tuple[np.ndarray, bool]:
-    """Projected gradient ascent over the box with BB step + Armijo backtracking.
+def _pga(fg, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Projected gradient ascent of `fg(beta, theta)` -> (value, gradient)
+    over the box with BB step + Armijo backtracking.
 
     The spectral step keeps the iteration scale-invariant; the very first
     step falls back to `SETTINGS.step_init`.
     """
-    fg = prob.min_value_grad if minmax else prob.value_grad
     beta = _project(np.asarray(beta0, dtype=float).copy())
     if beta.size == 0:
         return beta, True
@@ -274,7 +264,7 @@ def solve_subproblem(theta, channels: ChannelSet, scenario: Scenario,
     if np.any(theta <= 0.0):
         raise ValueError("surrogate parameters must be positive")
     prob = _ReducedProblem(channels, scenario, scheme)
-    return _pga(prob, theta, np.full(prob.n, SETTINGS.beta_init))
+    return _pga(prob.value_grad, theta, np.full(prob.n, SETTINGS.beta_init))
 
 
 def _recover_auxiliaries(prob: _ReducedProblem, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,6 +299,7 @@ def _theta_update(u: np.ndarray, v: np.ndarray, theta_prev: np.ndarray) -> np.nd
 def _spca_loop(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
                beta0: float, weights, minmax: bool) -> SpcaResult:
     prob = _ReducedProblem(channels, scenario, scheme, weights)
+    fg = prob.min_value_grad if minmax else prob.value_grad
     theta = np.full(2, SETTINGS.theta_init)
     beta = np.full(prob.n, beta0)
     trace: list[TraceEntry] = []
@@ -317,13 +308,11 @@ def _spca_loop(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
     inner_ok = True
     iterations = 0
     for _m in range(SETTINGS.max_outer_iterations):
-        beta, ok = _pga(prob, theta, beta, minmax=minmax)
+        beta, ok = _pga(fg, theta, beta)
         inner_ok = inner_ok and ok
         iterations += 1
         u, v = _recover_auxiliaries(prob, beta)
-        obj = (prob.min_value_grad(beta, theta)[0] if minmax
-               else prob.value(beta, theta))
-        trace.append(TraceEntry(objective=obj,
+        trace.append(TraceEntry(objective=fg(beta, theta)[0],
                                 sum_rate=sum_rate(channels, beta, scenario, scheme),
                                 state=SurrogateState(theta=theta.copy(), u=u, v=v)))
         if prev is not None:
@@ -429,10 +418,4 @@ def time_sharing_optimize(channels: ChannelSet, scenario: Scenario,
 def max_min_optimize(channels: ChannelSet, scenario: Scenario,
                      scheme: DetectorScheme) -> SpcaResult:
     """Maximize min(R1, R2) over the box (max-min fairness benchmark)."""
-    result = _spca_multistart(channels, scenario, scheme, minmax=True)
-    degenerate = min(result.rates.r1, result.rates.r2) == 0.0
-    if degenerate:
-        return SpcaResult(beta=result.beta, rates=result.rates, trace=result.trace,
-                          converged=result.converged, iterations=result.iterations,
-                          degenerate=True)
-    return result
+    return _spca_multistart(channels, scenario, scheme, minmax=True)

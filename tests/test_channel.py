@@ -14,8 +14,6 @@ from starvlc import (
     build_ris_grid,
     channel_set,
     h_los,
-    h_reflect,
-    h_transmit,
 )
 from util import random_scenario, reference_scenario
 
@@ -78,7 +76,7 @@ class TestRelayed:
         cos_phi = 0.5 / d1
         cos_psi = 1.5 / d2
         expected = 1.5e-4 * 2.0 / (2.0 * math.pi * (d1 + d2) ** 2) * cos_phi * cos_psi * 10.0
-        got = h_reflect(sc, 0)
+        got = channel_set(sc).h_reflect[0]
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(1.4323944878270576e-05, rel=1e-12)
 
@@ -90,7 +88,7 @@ class TestRelayed:
         cos_phi = 0.5 / d1
         cos_psi = 1.5 / d2
         expected = 1.5e-4 * 2.0 / (2.0 * math.pi * (d1 + d2) ** 2) * cos_phi * cos_psi * 10.0
-        got = h_transmit(sc, 0)
+        got = channel_set(sc).h_transmit[0]
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(2.7804574620178703e-05, rel=1e-12)
 
@@ -100,7 +98,7 @@ class TestRelayed:
         sc = one_element_scenario()
         d1 = math.sqrt(1.5**2 + 0.5**2)
         d2 = math.sqrt(0.5**2 + 1.5**2)
-        got = h_reflect(sc, 0)
+        got = channel_set(sc).h_reflect[0]
         wrong = got * (d1 + d2) ** 2 / (d1 * d2) ** 2
         assert not got == pytest.approx(wrong, rel=0.3)
 
@@ -109,22 +107,16 @@ class TestRelayed:
         sc = reference_scenario()
         sc = replace(sc, panel=replace(sc.panel, rows=1, cols=1,
                                        center=np.array([5.0, 2.5, 0.5])))
-        assert h_reflect(sc, 0) == 0.0
-        assert h_transmit(sc, 0) == 0.0
-
-    def test_index_bounds(self):
-        sc = one_element_scenario()
-        with pytest.raises(IndexError):
-            h_reflect(sc, 1)
-        with pytest.raises(IndexError):
-            h_transmit(sc, -1)
+        ch = channel_set(sc)
+        assert ch.h_reflect[0] == 0.0
+        assert ch.h_transmit[0] == 0.0
 
 
 class TestChannelSet:
     def test_matches_per_element_functions(self):
-        """Both the vectors and the per-element functions equal the relayed
-        gain written out from each element's position: m = 1 (60 deg
-        half angle), A = 1.5e-4, G = 10, every listed element inside the FOV."""
+        """Both gain vectors equal the relayed gain written out from each
+        element's position: m = 1 (60 deg half angle), A = 1.5e-4, G = 10,
+        every listed element inside the FOV."""
         sc = reference_scenario()
         ch = channel_set(sc)
         elements = build_ris_grid(sc.panel)
@@ -144,9 +136,7 @@ class TestChannelSet:
             transmit = relayed(sc.ue2, elements[i])
             assert reflect > 0.0 and transmit > 0.0
             assert ch.h_reflect[i] == pytest.approx(reflect, rel=1e-13)
-            assert h_reflect(sc, i) == pytest.approx(reflect, rel=1e-13)
             assert ch.h_transmit[i] == pytest.approx(transmit, rel=1e-13)
-            assert h_transmit(sc, i) == pytest.approx(transmit, rel=1e-13)
 
     def test_all_gains_nonnegative_and_finite(self):
         rng = np.random.default_rng(42)
@@ -207,6 +197,11 @@ class TestScenarioValidation:
         sc = reference_scenario()
         with pytest.raises(ValueError):
             replace(sc, p1=-0.1)
+
+    def test_noise_must_be_positive(self):
+        sc = reference_scenario()
+        with pytest.raises(ValueError, match="noise variance"):
+            replace(sc, noise_variance=0.0)
 
     def test_front_end_validation(self):
         with pytest.raises(ValueError):

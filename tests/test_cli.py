@@ -146,7 +146,9 @@ class TestSweepSpec:
         ("sweep.steps", "2.9"),
         ("sweep.steps", "'4'"),
         ("sweep.start", "abc"),
+        ("sweep.start", "True"),
         ("sweep.stop", "[4.5]"),
+        ("sweep.stop", "1e400"),
         ("sweep.scheme", "sid"),
         ("sweep.objective", "best"),
     ])
@@ -212,7 +214,7 @@ class TestRunSweep:
     def test_position_sweep_outputs(self, tmp_path):
         spec = SweepSpec(parameter="ue1_x", start=3.0, stop=4.0, steps=3,
                          scenario=small_sweep_scenario(), oracle_check=True)
-        ok = run_sweep(spec, tmp_path, seed=7)
+        ok = run_sweep(spec, tmp_path)
         assert ok
         rows = read_csv(tmp_path / "sweep.csv")
         assert rows[0] == ["swept_value", "r1", "r2", "sum_rate", "ee", "iters",
@@ -225,7 +227,6 @@ class TestRunSweep:
         assert len(baseline) == 4
         manifest = parse_kv_file(tmp_path / "manifest.txt")
         assert manifest["sweep.parameter"] == "ue1_x"
-        assert manifest["seed"] == 7
         assert manifest["tool.version"] == starvlc.__version__
         for name, value in asdict(SpcaConfig()).items():
             assert manifest[f"spca.{name}"] == value
@@ -233,8 +234,8 @@ class TestRunSweep:
     def test_byte_identical_reruns(self, tmp_path):
         spec = SweepSpec(parameter="power_both", start=0.01, stop=0.05, steps=3,
                          scenario=small_sweep_scenario())
-        run_sweep(spec, tmp_path / "a", seed=1)
-        run_sweep(spec, tmp_path / "b", seed=1)
+        run_sweep(spec, tmp_path / "a")
+        run_sweep(spec, tmp_path / "b")
         a = (tmp_path / "a" / "sweep.csv").read_bytes()
         b = (tmp_path / "b" / "sweep.csv").read_bytes()
         assert a == b
@@ -377,12 +378,20 @@ class TestCliEntry:
         assert main(["solve", "--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "degenerate geometry" in capsys.readouterr().err
 
-    def test_sweep_through_the_wall_exit_code(self, tmp_path, capsys):
+    def test_sweep_through_the_wall_exit_code(self, tmp_path, capsys, monkeypatch):
+        """Only the last point is through the wall; the sweep fails before
+        solving any point and writes nothing."""
+        calls = []
+        solve = starvlc.cli.spca_optimize
+        monkeypatch.setattr(starvlc.cli, "spca_optimize",
+                            lambda *args: calls.append(args) or solve(*args))
         spec_file = tmp_path / "sweep.txt"
         spec_file.write_text("sweep.parameter = ue1_x\nsweep.start = 4.0\n"
                              "sweep.stop = 6.0\nsweep.steps = 3\n")
         assert main(["sweep", str(spec_file), "--out", str(tmp_path / "out")]) == 1
         assert "ue1_x = 6.0" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         typo = tmp_path / "typo.txt"
@@ -412,7 +421,8 @@ class TestCliEntry:
     @pytest.mark.parametrize("line", ["power.ue1 = abc", "noise.variance = None",
                                       "ris.pitch = [0.1]", "detector.gain = True",
                                       "ap.position = [1, 'a', 2]", "ris.center = None",
-                                      "power.ue1 = 1e400", "ris.pitch = {[1]: 2}"])
+                                      "power.ue1 = 1e400", "ris.pitch = {[1]: 2}",
+                                      "power.ue1 = 1e200\npower.ue2 = 1e200"])
     def test_non_numeric_scalar_exit_code(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(line + "\n")

@@ -15,7 +15,7 @@ from starvlc import (
     rate,
     rate_pair,
     rates_from_gains,
-    sinr,
+    sinr_from_gains,
     sum_rate,
 )
 from starvlc.link import RATE_SINR_SCALE, validate_beta
@@ -72,7 +72,7 @@ class TestEffectiveChannels:
 class TestSinr:
     def test_sic_user1_reference_value(self):
         sc, ch = one_element_setup()
-        s1, s2 = sinr(ch, [1.0], sc.p1, sc.p2, 0.7, 1e-10, DetectorScheme.SIC)
+        s1, s2 = sinr_from_gains(*effective_channels(ch, [1.0]), sc, DetectorScheme.SIC)
         h1 = ch.h_los + ch.h_reflect[0]
         expected = (0.7 * h1 * 0.1) ** 2 / 1e-10
         assert s1 == pytest.approx(expected, rel=1e-14)
@@ -80,33 +80,32 @@ class TestSinr:
         assert s2 == 0.0  # no transmit-side power reaches the AP
 
     def test_sud_symmetric_under_user_swap(self):
-        # Symmetric synthetic channels: equal gains, equal powers.
+        # Symmetric synthetic channels: equal gains, equal powers (0.1 W each).
         ch = ChannelSet(h_los=0.0, h_reflect=[2e-5], h_transmit=[2e-5])
-        s1, s2 = sinr(ch, [0.5], 0.1, 0.1, 0.7, 1e-10, DetectorScheme.SUD)
+        s1, s2 = sinr_from_gains(*effective_channels(ch, [0.5]), reference_scenario(),
+                                 DetectorScheme.SUD)
         assert s1 == pytest.approx(s2, rel=1e-14)
 
     def test_sic_removes_user2_interference(self):
         sc, ch = one_element_setup()
-        beta = [0.5]
-        sud1, sud2 = sinr(ch, beta, sc.p1, sc.p2, 0.7, 1e-10, DetectorScheme.SUD)
-        sic1, sic2 = sinr(ch, beta, sc.p1, sc.p2, 0.7, 1e-10, DetectorScheme.SIC)
+        gains = effective_channels(ch, [0.5])
+        sud1, sud2 = sinr_from_gains(*gains, sc, DetectorScheme.SUD)
+        sic1, sic2 = sinr_from_gains(*gains, sc, DetectorScheme.SIC)
         assert sic1 > sud1  # interference-free decoding of user 1
         assert sic2 == sud2  # user 2 is decoded first, identically
 
     def test_manual_sud_formula(self):
         ch = ChannelSet(h_los=1e-5, h_reflect=[3e-5], h_transmit=[4e-5])
         rho, p1, p2, n0 = 0.5, 0.08, 0.12, 2e-10
+        sc = reference_scenario()
+        sc = replace(sc, p1=p1, p2=p2, noise_variance=n0,
+                     front_end=replace(sc.front_end, responsivity=rho))
         beta = [0.3]
         h1 = 1e-5 + 0.3 * 3e-5
         h2 = 0.7 * 4e-5
-        s1, s2 = sinr(ch, beta, p1, p2, rho, n0, DetectorScheme.SUD)
+        s1, s2 = sinr_from_gains(*effective_channels(ch, beta), sc, DetectorScheme.SUD)
         assert s1 == pytest.approx((rho * h1 * p1) ** 2 / (n0 + (rho * h2 * p2) ** 2), rel=1e-13)
         assert s2 == pytest.approx((rho * h2 * p2) ** 2 / (n0 + (rho * h1 * p1) ** 2), rel=1e-13)
-
-    def test_noise_must_be_positive(self):
-        sc, ch = one_element_setup()
-        with pytest.raises(ValueError):
-            sinr(ch, [0.5], sc.p1, sc.p2, 0.7, 0.0, DetectorScheme.SUD)
 
 
 class TestRate:
