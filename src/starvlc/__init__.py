@@ -24,7 +24,6 @@ from .link import (
 )
 from .oracle import OracleReport, coordinate_scan, mask_to_beta, vertex_enumerate
 from .spca import (
-    Objective,
     SpcaConfig,
     SpcaResult,
     TimeSharingResult,
@@ -60,7 +59,6 @@ __all__ = [
     "coordinate_scan",
     "mask_to_beta",
     "vertex_enumerate",
-    "Objective",
     "SpcaConfig",
     "SpcaResult",
     "TimeSharingResult",

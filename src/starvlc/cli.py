@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import math
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -34,11 +35,10 @@ import numpy as np
 from . import __version__
 from .channel import OpticalFrontEnd, Scenario, channel_set, h_los
 from .geometry import LambertianSource, OrientedPoint, RisPanel
-from .link import DetectorScheme, rates_from_gains, sinr_from_gains
+from .link import DetectorScheme, rates_from_gains
 from .oracle import MAX_ENUM_ELEMENTS, coordinate_scan, vertex_enumerate
 from .spca import (
     SETTINGS,
-    Objective,
     max_min_optimize,
     mode_switching_optimize,
     spca_optimize,
@@ -48,9 +48,13 @@ from .spca import (
 # Position sweeps move one point along x: parameter -> Scenario field.
 POSITION_SWEEPS = {"ue1_x": "ue1", "ue2_x": "ue2", "ap_x": "ap"}
 SWEEP_PARAMETERS = (*POSITION_SWEEPS, "element_count", "power_both")
-MODES = ("es", "ms")  # es = energy splitting, ms = mode switching
+# The solver of each mode, by its name in this module: es = energy splitting
+# (continuous coefficients), ms = mode switching (binary coefficients),
+# timeshare and maxmin = the time-sharing and max-min fairness benchmarks.
+# `_solve` looks the name up when it runs, so a wrapper patched over it is used.
+MODES = {"es": "spca_optimize", "ms": "mode_switching_optimize",
+         "timeshare": "time_sharing_optimize", "maxmin": "max_min_optimize"}
 SCHEMES = [s.value for s in DetectorScheme]
-OBJECTIVES = [o.value for o in Objective]
 # The solver's fixed settings, as every manifest records them.
 SPCA_ENTRIES = {f"spca.{k}": v for k, v in asdict(SETTINGS).items()}
 
@@ -158,7 +162,7 @@ SCALAR_KEYS = {"power.ue1": "p1", "power.ue2": "p2", "noise.variance": "noise_va
 # Value parsers by type name: a scenario key's value is parsed by the type of
 # its default, a `sweep.*` key's by its SweepSpec annotation.
 _PARSERS = {"list": _vector3, "int": _integer, "float": _real, "bool": _boolean,
-            "str": str, "Objective": Objective, "DetectorScheme": DetectorScheme}
+            "str": str, "DetectorScheme": DetectorScheme}
 
 
 def _keys(prefix: str, obj) -> dict:
@@ -230,7 +234,6 @@ class SweepSpec:
     stop: float
     steps: int
     scenario: Scenario
-    objective: Objective = Objective.SUM_RATE
     scheme: DetectorScheme = DetectorScheme.SIC
     mode: str = "es"
     oracle_check: bool = False
@@ -244,7 +247,7 @@ class SweepSpec:
         if self.steps < 2:
             raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"sweep.mode: expected one of {tuple(MODES)}, got {self.mode!r}")
 
 
 _SWEEP_FIELDS = {f"sweep.{f.name}": f for f in fields(SweepSpec) if f.name != "scenario"}
@@ -315,34 +318,32 @@ def no_ris_rate_ue1(scenario: Scenario) -> float:
 
 def _channels(scenario: Scenario):
     """`channel_set(scenario)`; geometry it cannot use, or powers whose
-    received signal power overflows a float, is a ConfigError."""
+    peak SNR overflows a float, is a ConfigError."""
     try:
         ch = channel_set(scenario)
     except ValueError as err:
         raise ConfigError(f"invalid scenario geometry: {err}") from err
+    # A user's peak SNR, its signal power at its largest effective gain (H1 at
+    # beta = 1, H2 at beta = 0) over the noise variance, bounds its signal
+    # power and every SINR either scheme forms for it: if these are finite,
+    # no coefficient vector overflows.
+    rho, sigma2 = scenario.front_end.responsivity, scenario.noise_variance
+    peaks = ((ch.h_los + float(ch.h_reflect.sum()), scenario.p1),
+             (float(ch.h_transmit.sum()), scenario.p2))
     try:
-        # Either scheme squares each user's signal at its effective gain, and
-        # both gains peak here, so no coefficient vector overflows if these do not.
-        sinr_from_gains(ch.h_los + float(ch.h_reflect.sum()), float(ch.h_transmit.sum()),
-                        scenario, DetectorScheme.SUD)
-    except OverflowError as err:
-        raise ConfigError(f"power.ue1, power.ue2: received signal power overflows a float "
-                          f"({scenario.p1!r} W, {scenario.p2!r} W)") from err
+        finite = all(math.isfinite((rho * h * p) ** 2 / sigma2) for h, p in peaks)
+    except OverflowError:  # float ** raises where float / returns inf
+        finite = False
+    if not finite:
+        raise ConfigError(f"power.ue1, power.ue2: peak SNR overflows a float "
+                          f"({scenario.p1!r} W, {scenario.p2!r} W)")
     return ch
 
 
-def _solve(channels, scenario: Scenario, scheme: DetectorScheme, objective: Objective,
-           mode: str):
-    """Run the solver for `objective`; `mode` ("es" or "ms") selects between
-    continuous and binary coefficients for the sum rate. Returns its
-    SpcaResult or TimeSharingResult."""
-    if objective is Objective.TIME_SHARING:
-        return time_sharing_optimize(channels, scenario, scheme)
-    if objective is Objective.MAX_MIN:
-        return max_min_optimize(channels, scenario, scheme)
-    if mode == "ms":
-        return mode_switching_optimize(channels, scenario, scheme)
-    return spca_optimize(channels, scenario, scheme)
+def _solve(channels, scenario: Scenario, scheme: DetectorScheme, mode: str):
+    """Run the solver of `mode` (a key of MODES). Returns its SpcaResult or
+    TimeSharingResult."""
+    return globals()[MODES[mode]](channels, scenario, scheme)
 
 
 RESULT_HEADER = ["r1", "r2", "sum_rate", "ee", "iters", "converged"]
@@ -384,7 +385,7 @@ def run_sweep(spec: SweepSpec, out_dir) -> bool:
     all_converged = True
     for value, scenario, ch in zip(values, scenarios, channels):
         t0 = time.perf_counter()
-        result = _solve(ch, scenario, spec.scheme, spec.objective, spec.mode)
+        result = _solve(ch, scenario, spec.scheme, spec.mode)
         elapsed = time.perf_counter() - t0
         all_converged = all_converged and result.converged
         oracle = ["", ""]
@@ -422,14 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="optimize a single scenario")
     _add_common(p)
     p.add_argument("--mode", choices=MODES, default="es")
-    p.add_argument("--objective", choices=OBJECTIVES, default="sum")
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a spec file")
     p.add_argument("spec", help="sweep spec file")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--scheme", choices=SCHEMES, default=None)
     p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--objective", choices=OBJECTIVES, default=None)
 
     p = sub.add_parser("oracle", help="exhaustive binary-vertex check (small panels)")
     _add_common(p)
@@ -448,15 +447,15 @@ def _cmd_solve(args) -> int:
     scenario = _load_or_default(args.scenario)
     ch = _channels(scenario)
     scheme = DetectorScheme(args.scheme)
-    result = _solve(ch, scenario, scheme, Objective(args.objective), args.mode)
+    result = _solve(ch, scenario, scheme, args.mode)
     rates, iters, converged = result.rates, result.iterations, result.converged
     out = Path(args.out)
     _write_csv(out / "solution.csv", [RESULT_HEADER, _result_row(result)])
-    if args.objective == "sum" and scenario.panel.rows * scenario.panel.cols:
+    if scenario.panel.rows * scenario.panel.cols:
         _write_beta(result.beta, scenario.panel, out / "beta.csv")
     manifest = {**{f"scenario.{k}": v for k, v in scenario_entries(scenario).items()},
                 **SPCA_ENTRIES,
-                "scheme": scheme.value, "mode": args.mode, "objective": args.objective,
+                "scheme": scheme.value, "mode": args.mode,
                 "tool.version": __version__, "converged": converged}
     write_kv_file(manifest, out / "manifest.txt")
     print(f"r1={rates.r1:.6f} r2={rates.r2:.6f} sum={rates.sum:.6f} "
@@ -466,7 +465,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.spec)
-    given = {"scheme": args.scheme, "mode": args.mode, "objective": args.objective}
+    given = {"scheme": args.scheme, "mode": args.mode}
     spec = replace(spec, **{name: _sweep_value(f"sweep.{name}", value)
                             for name, value in given.items() if value is not None})
     return 0 if run_sweep(spec, args.out) else 2

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -40,12 +39,6 @@ from .link import (
 )
 
 _LN2 = math.log(2.0)
-
-
-class Objective(Enum):
-    SUM_RATE = "sum"
-    TIME_SHARING = "timeshare"
-    MAX_MIN = "maxmin"
 
 
 @dataclass(frozen=True)
@@ -206,24 +199,25 @@ def _project(beta: np.ndarray) -> np.ndarray:
     return np.clip(beta, 0.0, 1.0)
 
 
-def _pga(fg, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndarray, bool]:
+def _pga(fg, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Projected gradient ascent of `fg(beta, theta)` -> (value, gradient)
     over the box with BB step + Armijo backtracking.
 
     The spectral step keeps the iteration scale-invariant; the very first
-    step falls back to `SETTINGS.step_init`.
+    step falls back to `SETTINGS.step_init`. Returns (beta, its value,
+    converged).
     """
     beta = _project(np.asarray(beta0, dtype=float).copy())
-    if beta.size == 0:
-        return beta, True
     f, g = fg(beta, theta)
+    if beta.size == 0:
+        return beta, f, True
     step = SETTINGS.step_init
     prev_beta = None
     prev_g = None
     for _ in range(SETTINGS.max_inner_iterations):
         pg = _project(beta + g) - beta
         if float(np.max(np.abs(pg))) < SETTINGS.inner_tolerance:
-            return beta, True
+            return beta, f, True
         if prev_beta is not None:
             db = beta - prev_beta
             dg = g - prev_g
@@ -247,16 +241,23 @@ def _pga(fg, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndarray, bool]:
             t *= SETTINGS.armijo_shrink
         if not accepted:
             # no ascent step found: treat as converged at a stationary point
-            return beta, True
+            return beta, f, True
         prev_beta, prev_g = beta, g
         beta, f, g = cand, fc, gc
-    return beta, False
+    return beta, f, False
+
+
+def _start(prob: _ReducedProblem, value: float) -> np.ndarray:
+    """A start vector: `value` at every element but the dead ones (both
+    gains 0), which get 1. A dead element's gradient is 0, so it keeps its
+    start value; 1 is the value mode switching gives it."""
+    return np.where((prob.hr == 0.0) & (prob.ht == 0.0), 1.0, value)
 
 
 def solve_subproblem(theta, channels: ChannelSet, scenario: Scenario,
                      scheme: DetectorScheme):
     """Maximize the reduced sum-rate objective over the box for fixed theta,
-    from the midpoint start `SETTINGS.beta_init`.
+    from the midpoint start `SETTINGS.beta_init` (1 at dead elements).
 
     Returns (beta, inner_converged).
     """
@@ -264,7 +265,8 @@ def solve_subproblem(theta, channels: ChannelSet, scenario: Scenario,
     if np.any(theta <= 0.0):
         raise ValueError("surrogate parameters must be positive")
     prob = _ReducedProblem(channels, scenario, scheme)
-    return _pga(prob.value_grad, theta, np.full(prob.n, SETTINGS.beta_init))
+    beta, _, converged = _pga(prob.value_grad, theta, _start(prob, SETTINGS.beta_init))
+    return beta, converged
 
 
 def _recover_auxiliaries(prob: _ReducedProblem, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,18 +303,18 @@ def _spca_loop(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
     prob = _ReducedProblem(channels, scenario, scheme, weights)
     fg = prob.min_value_grad if minmax else prob.value_grad
     theta = np.full(2, SETTINGS.theta_init)
-    beta = np.full(prob.n, beta0)
+    beta = _start(prob, beta0)
     trace: list[TraceEntry] = []
     prev = None  # (beta, u, v) of the previous outer iteration
     converged = False
     inner_ok = True
     iterations = 0
     for _m in range(SETTINGS.max_outer_iterations):
-        beta, ok = _pga(fg, theta, beta)
+        beta, value, ok = _pga(fg, theta, beta)
         inner_ok = inner_ok and ok
         iterations += 1
         u, v = _recover_auxiliaries(prob, beta)
-        trace.append(TraceEntry(objective=fg(beta, theta)[0],
+        trace.append(TraceEntry(objective=value,
                                 sum_rate=sum_rate(channels, beta, scenario, scheme),
                                 state=SurrogateState(theta=theta.copy(), u=u, v=v)))
         if prev is not None:
@@ -340,7 +342,7 @@ def _score(result: SpcaResult, weights, minmax: bool) -> float:
 def _spca_multistart(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
                      weights=(1.0, 1.0), minmax: bool = False) -> SpcaResult:
     """Run the outer loop from the midpoint start plus the two vertex
-    starts and keep the best exact objective.
+    starts (each 1 at dead elements) and keep the best exact objective.
 
     The sum-rate landscape splits into a serve-user-1 and a serve-user-2
     basin; a single local ascent from the midpoint can settle in the wrong

@@ -10,8 +10,18 @@ import numpy as np
 import pytest
 
 import starvlc
-from starvlc import DetectorScheme, OrientedPoint, Scenario, channel_set, mode_switching_optimize
+from starvlc import (
+    DetectorScheme,
+    OrientedPoint,
+    Scenario,
+    channel_set,
+    max_min_optimize,
+    mode_switching_optimize,
+    spca_optimize,
+    time_sharing_optimize,
+)
 from starvlc.cli import (
+    MODES,
     OBJECT_KEYS,
     SCALAR_KEYS,
     ConfigError,
@@ -29,7 +39,7 @@ from starvlc.cli import (
     sweep_values,
     write_kv_file,
 )
-from starvlc.spca import Objective, SpcaConfig
+from starvlc.spca import SpcaConfig
 from util import reference_scenario
 
 
@@ -151,6 +161,7 @@ class TestSweepSpec:
         ("sweep.stop", "1e400"),
         ("sweep.scheme", "sid"),
         ("sweep.objective", "best"),
+        ("sweep.mode", "best"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, key, value):
         entries = {"sweep.parameter": "ue1_x", "sweep.start": "3.0",
@@ -170,8 +181,7 @@ class TestSweepSpec:
     def test_entries_round_trip(self, tmp_path):
         sc = replace(default_scenario(), p1=0.05)
         spec = SweepSpec(parameter="ap_x", start=4.0, stop=4.75, steps=4, scenario=sc,
-                         objective=Objective.MAX_MIN, scheme=DetectorScheme.SUD,
-                         mode="ms", oracle_check=True)
+                         scheme=DetectorScheme.SUD, mode="maxmin", oracle_check=True)
         path = tmp_path / "sweep.txt"
         write_kv_file({**scenario_entries(sc), **sweep_entries(spec)}, path)
         assert load_sweep_spec(path) == spec
@@ -285,6 +295,48 @@ class TestDumpBeta:
         assert set(np.unique(parsed)) <= {0.0, 1.0}
 
 
+SOLVERS = {"es": spca_optimize, "ms": mode_switching_optimize,
+           "timeshare": time_sharing_optimize, "maxmin": max_min_optimize}
+
+
+class TestModes:
+    def test_modes_are_the_four_schemes(self):
+        assert list(MODES) == list(SOLVERS)
+
+    @pytest.mark.parametrize("mode", list(SOLVERS))
+    def test_solve_runs_its_modes_solver(self, tmp_path, monkeypatch, mode):
+        """`--mode` picks the solver by its name in `starvlc.cli` when the
+        command runs, so a wrapper patched over that name (as the benchmark's
+        tracing does) is the one called. Every mode writes `beta.csv`, the
+        result's beta, and the manifest records the mode."""
+        cfg = tmp_path / "scenario.txt"
+        write_scenario(small_sweep_scenario(), cfg)
+        results = []
+        solver = SOLVERS[mode]
+        monkeypatch.setattr(starvlc.cli, MODES[mode],
+                            lambda *args: results.append(solver(*args)) or results[-1])
+        out = tmp_path / "out"
+        code = main(["solve", "--scenario", str(cfg), "--mode", mode, "--out", str(out)])
+        assert code == (0 if results[0].converged else 2)
+        assert len(results) == 1
+        beta = np.array(read_csv(out / "beta.csv"), dtype=float)
+        np.testing.assert_array_equal(beta.ravel(), results[0].beta)
+        manifest = parse_kv_file(out / "manifest.txt")
+        assert manifest["mode"] == mode
+        assert "objective" not in manifest
+
+    def test_sweep_mode_flag_overrides_the_spec(self, tmp_path):
+        spec_file = tmp_path / "sweep.txt"
+        spec_file.write_text("sweep.parameter = power_both\nsweep.start = 0.01\n"
+                             "sweep.stop = 0.05\nsweep.steps = 2\nsweep.mode = ms\n"
+                             "ris.rows = 2\nris.cols = 3\n")
+        out = tmp_path / "out"
+        assert main(["sweep", str(spec_file), "--mode", "timeshare", "--out", str(out)]) == 0
+        manifest = parse_kv_file(out / "manifest.txt")
+        assert manifest["sweep.mode"] == "timeshare"
+        assert not any(key.endswith("objective") for key in manifest)
+
+
 class TestCliEntry:
     def test_solve_writes_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.txt"
@@ -343,7 +395,9 @@ class TestCliEntry:
         assert "not a text file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["solve", "--scheme", "bogus"], ["solve", "--nope"],
-                                      ["sweep"], []])
+                                      ["sweep"], [], ["solve", "--objective", "maxmin"],
+                                      ["sweep", "spec.txt", "--objective", "maxmin"],
+                                      ["solve", "--mode", "sum"]])
     def test_usage_error_exit_code(self, argv, capsys):
         # Exit 2 means a run that did not converge, so a usage error is 1.
         assert main(argv) == 1
@@ -422,7 +476,8 @@ class TestCliEntry:
                                       "ris.pitch = [0.1]", "detector.gain = True",
                                       "ap.position = [1, 'a', 2]", "ris.center = None",
                                       "power.ue1 = 1e400", "ris.pitch = {[1]: 2}",
-                                      "power.ue1 = 1e200\npower.ue2 = 1e200"])
+                                      "power.ue1 = 1e200\npower.ue2 = 1e200",
+                                      "power.ue1 = 1e154\npower.ue2 = 1e154"])
     def test_non_numeric_scalar_exit_code(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(line + "\n")

@@ -161,6 +161,25 @@ class TestRatePair:
             assert sic.sum >= sud.sum - 1e-15
             assert sic.r2 == pytest.approx(sud.r2, rel=1e-14)
 
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_sum_rate_peaks_at_a_segment_end(self, scheme):
+        """Along a segment that raises H1 and lowers H2, as raising one
+        element's coefficient does, the sum rate peaks at an endpoint: a
+        coordinate's best value is 0 or 1, so the ES optimum can be binary.
+        Seeded segments over six decades of power and three of gain, some
+        along one axis only; 1e-12 allows for rounding alone."""
+        rng = np.random.default_rng(11)
+        t = np.linspace(0.0, 1.0, 21)
+        for _ in range(1000):
+            sc = replace(reference_scenario(), p1=float(10 ** rng.uniform(-3, 0)),
+                         p2=float(10 ** rng.uniform(-3, 0)))
+            scale = 10 ** rng.uniform(-6, -3)
+            h1, h2 = scale * rng.uniform(0.0, 2.0, 2)
+            d1, d2 = scale * rng.uniform(0.0, 2.0, 2) * (rng.random(2) > 0.1)
+            sums = [rates_from_gains(h1 + x * d1, h2 + (1.0 - x) * d2, sc, scheme).sum
+                    for x in t.tolist()]
+            assert max(sums) <= max(sums[0], sums[-1]) * (1.0 + 1e-12)
+
 
 @st.composite
 def panels(draw):

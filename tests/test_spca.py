@@ -151,6 +151,17 @@ class TestSpca:
             exact = [entry.sum_rate for entry in result.trace]
             assert all(b >= a - 1e-10 for a, b in zip(exact, exact[1:]))
 
+    def test_trace_records_the_subproblem_value(self):
+        """Each trace entry's objective is the value the inner solve returned
+        with its beta: the last is the reduced objective at the result."""
+        sc = reference_scenario()
+        ch = channel_set(sc)
+        for scheme in DetectorScheme:
+            result = spca_optimize(ch, sc, scheme)
+            last = result.trace[-1]
+            assert last.objective == reduced_objective(result.beta, last.state.theta,
+                                                       ch, sc, scheme)[0]
+
     def test_default_scenario_fast_convergence(self):
         sc = reference_scenario()
         ch = channel_set(sc)
@@ -205,6 +216,33 @@ def fractional(beta):
     return (beta > 0.0) & (beta < 1.0)
 
 
+def dead(channels):
+    return (channels.h_reflect == 0.0) & (channels.h_transmit == 0.0)
+
+
+def room_panels(count, dead_elements):
+    """`count` seeded room panels per shape from 2 x 3 to 20 x 16, every
+    third element dead if `dead_elements`."""
+    rng = np.random.default_rng(1 if dead_elements else 2)
+    for rows, cols in [(2, 3), (4, 4), (10, 8), (20, 16)] * count:
+        sc = random_scenario(rng, rows, cols)
+        ch = channel_set(sc)
+        yield sc, with_dead_elements(ch) if dead_elements else ch
+
+
+def es_with_fractional_dead_elements(monkeypatch):
+    """Make `mode_switching_optimize` round from an ES optimum whose dead
+    elements sit at 0.5 (any value is optimal there), so the rounding has
+    fractional coordinates to decide: each of them is a tie."""
+    es = spca_optimize
+
+    def patched(ch, sc, scheme):
+        result = es(ch, sc, scheme)
+        return replace(result, beta=np.where(dead(ch), 0.5, result.beta))
+    monkeypatch.setattr(spca, "spca_optimize", patched)
+    return patched
+
+
 class TestModeSwitching:
     def test_result_is_binary(self):
         sc, ch = small_setup(seed=7, rows=2, cols=4)
@@ -232,25 +270,24 @@ class TestModeSwitching:
             assert ms.rates.sum >= oracle.best_rates.sum - 1e-3
 
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
-    def test_rounding_matches_reference_at_es_optimum(self, scheme):
-        """Bitwise the reference's beta. Panels whose elements see no light
-        (both gains 0) keep those elements fractional at the ES optimum;
-        they must round to 1, the tie rule. Seed 0's 20 x 16 panel leaves
-        over 100 coordinates fractional."""
+    def test_rounding_matches_reference_at_es_optimum(self, scheme, monkeypatch):
+        """Bitwise the reference's beta, from an ES optimum whose elements
+        that see no light (both gains 0) sit at 0.5: they must round to 1,
+        the tie rule. Seed 0's 20 x 16 panel has over 100 of them."""
+        es = es_with_fractional_dead_elements(monkeypatch)
         tied = 0
         for seed, (rows, cols) in enumerate([(20, 16), (2, 3), (4, 4), (10, 8)] * 2):
             sc = random_scenario(np.random.default_rng(seed), rows, cols)
             ch = channel_set(sc)
             if seed % 2:
                 ch = with_dead_elements(ch)
-            es = spca_optimize(ch, sc, scheme).beta
+            start = es(ch, sc, scheme).beta
             ms = mode_switching_optimize(ch, sc, scheme).beta
-            np.testing.assert_array_equal(ms, reference_rounding(ch, sc, scheme, es))
-            dead = (ch.h_reflect == 0.0) & (ch.h_transmit == 0.0)
-            assert np.all(ms[dead & fractional(es)] == 1.0)
-            tied += int(np.sum(dead & fractional(es)))
+            np.testing.assert_array_equal(ms, reference_rounding(ch, sc, scheme, start))
+            assert np.all(ms[dead(ch) & fractional(start)] == 1.0)
+            tied += int(np.sum(dead(ch) & fractional(start)))
             if seed == 0:
-                assert np.sum(fractional(es)) >= 100
+                assert np.sum(fractional(start)) >= 100
         assert tied >= 100
 
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
@@ -298,17 +335,43 @@ class TestModeSwitching:
 
         for name in ("sum_rate", "rate_pair"):
             monkeypatch.setattr(spca, name, counting(name))
+        es_start = es_with_fractional_dead_elements(monkeypatch)
         sc = random_scenario(np.random.default_rng(0), rows, cols)
         ch = with_dead_elements(channel_set(sc))
         for scheme in DetectorScheme:
             calls.clear()
-            es = spca_optimize(ch, sc, scheme)
+            es = es_start(ch, sc, scheme)
             es_calls = calls.copy()
             calls.clear()
             mode_switching_optimize(ch, sc, scheme)
             assert np.sum(fractional(es.beta)) > 0
             assert calls["sum_rate"] <= es_calls["sum_rate"]
             assert calls["rate_pair"] == es_calls["rate_pair"] + 1
+
+    @pytest.mark.parametrize("dead_elements", [False, True])
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_es_optimum_is_binary_and_is_ms(self, scheme, dead_elements):
+        """The paper's claim that ES and MS perform the same: on seeded room
+        panels the ES optimum is already binary, so MS returns it as is."""
+        for sc, ch in room_panels(4, dead_elements):
+            es = spca_optimize(ch, sc, scheme)
+            assert not np.any(fractional(es.beta))
+            np.testing.assert_array_equal(mode_switching_optimize(ch, sc, scheme).beta,
+                                          es.beta)
+
+
+class TestDeadElements:
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_solvers_leave_dead_elements_at_one(self, scheme):
+        """Elements with both gains 0 start at 1 and, with zero gradient,
+        stay there under every solver. (Max-min takes seconds at 20 x 16.)"""
+        for sc, ch in room_panels(2, dead_elements=True):
+            if ch.element_count > 80:
+                continue
+            for solve in (spca_optimize, time_sharing_optimize, max_min_optimize):
+                assert np.all(solve(ch, sc, scheme).beta[dead(ch)] == 1.0)
+            theta = np.array([100.0, 100.0])
+            assert np.all(solve_subproblem(theta, ch, sc, scheme)[0][dead(ch)] == 1.0)
 
 
 class TestTimeSharing:
