@@ -15,6 +15,10 @@ With the signal term A_k and interference-norm term V_k defined per scheme
     u_k(beta) = max(0, 2 * theta_k * A_k(beta) - theta_k^2 * V_k(beta)^2)
 
 and the reduced objective is sum_k w_k * 0.5 * log2(1 + (e/2pi) * u_k).
+Each u_k depends on beta only through the effective gains H1 = h_los +
+beta.h_reflect and H2 = sum(h_transmit) - beta.h_transmit, so an objective
+F of the u_k has grad F = (dF/dH1) * h_reflect - (dF/dH2) * h_transmit: an
+evaluation is two dot products, float arithmetic and one N-vector combine.
 
 Every solver runs with one fixed set of settings, `SETTINGS`; none takes
 settings as an argument.
@@ -91,7 +95,7 @@ class TimeSharingResult:
     alpha: float
     beta: np.ndarray
     converged: bool
-    iterations: int = 0
+    iterations: int
 
 
 class _ReducedProblem:
@@ -111,13 +115,14 @@ class _ReducedProblem:
         self.h_los = channels.h_los
         self.hr = channels.h_reflect
         self.ht = channels.h_transmit
+        self.ht_sum = float(self.ht.sum())
         self.scheme = scheme
-        self.weights = np.asarray(weights, dtype=float)
+        self.weights = weights
         self.n = channels.element_count
 
     def gains(self, beta: np.ndarray) -> tuple[float, float]:
         h1 = self.h_los + float(beta @ self.hr)
-        h2 = float(self.ht.sum() - beta @ self.ht)
+        h2 = self.ht_sum - float(beta @ self.ht)
         return h1, h2
 
     def terms(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,52 +138,47 @@ class _ReducedProblem:
             v2 = np.array([g2 * g2 + self.sigma2, g1 * g1 + self.sigma2])
         return a, v2
 
-    def user_values_grads(self, beta: np.ndarray, theta: np.ndarray):
-        """Per-user reduced rate values and gradients w.r.t. beta."""
+    def user_values(self, beta: np.ndarray, theta: np.ndarray):
+        """Per user k, (value, dvalue/dg1, dvalue/dg2) of 0.5 * log2(1 + c * u_k),
+        where g_k = rho * p_k * H_k; all three are 0 where u_k <= 0."""
         h1, h2 = self.gains(beta)
         g1 = self.a1 * h1
         g2 = self.a2 * h2
-        # dH1/dbeta = hr, dH2/dbeta = -ht
-        dg1 = self.a1 * self.hr
-        dg2 = -self.a2 * self.ht
-        if self.scheme is DetectorScheme.SIC:
-            a = (g1 / self.sigma, g2)
-            da = (dg1 / self.sigma, dg2)
-            v2 = (1.0, g1 * g1 + self.sigma2)
-            dv2 = (None, 2.0 * g1 * dg1)
-        else:
-            a = (g1, g2)
-            da = (dg1, dg2)
-            v2 = (g2 * g2 + self.sigma2, g1 * g1 + self.sigma2)
-            dv2 = (2.0 * g2 * dg2, 2.0 * g1 * dg1)
-        values = np.empty(2)
-        grads = np.empty((2, self.n))
-        for k in range(2):
-            t = theta[k]
-            u = 2.0 * t * a[k] - t * t * v2[k]
-            if u <= 0.0:
-                values[k] = 0.0
-                grads[k] = 0.0
-                continue
-            values[k] = 0.5 * math.log2(1.0 + RATE_SINR_SCALE * u)
-            du = 2.0 * t * da[k]
-            if dv2[k] is not None:
-                du = du - t * t * dv2[k]
-            drate_du = 0.5 * RATE_SINR_SCALE / (_LN2 * (1.0 + RATE_SINR_SCALE * u))
-            grads[k] = drate_du * du
-        return values, grads
+        t1, t2 = theta.tolist()
+        if self.scheme is DetectorScheme.SIC:  # A1 = g1 / sigma, V1^2 = 1
+            u1 = 2.0 * t1 * (g1 / self.sigma) - t1 * t1
+            du1 = (2.0 * t1 / self.sigma, 0.0)
+        else:  # A1 = g1, V1^2 = g2^2 + sigma^2
+            u1 = 2.0 * t1 * g1 - t1 * t1 * (g2 * g2 + self.sigma2)
+            du1 = (2.0 * t1, -2.0 * t1 * t1 * g2)
+        # both schemes: A2 = g2, V2^2 = g1^2 + sigma^2
+        u2 = 2.0 * t2 * g2 - t2 * t2 * (g1 * g1 + self.sigma2)
+        du2 = (-2.0 * t2 * t2 * g1, 2.0 * t2)
+        return _rate_and_slopes(u1, du1), _rate_and_slopes(u2, du2)
 
     def value_grad(self, beta: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        values, grads = self.user_values_grads(beta, theta)
-        return float(self.weights @ values), self.weights @ grads
+        (f1, x1, y1), (f2, x2, y2) = self.user_values(beta, theta)
+        w1, w2 = self.weights
+        x, y = w1 * x1 + w2 * x2, w1 * y1 + w2 * y2
+        return w1 * f1 + w2 * f2, self.a1 * x * self.hr - self.a2 * y * self.ht
 
     def min_value_grad(self, beta: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Pointwise-min objective and a subgradient (for max-min fairness)."""
-        values, grads = self.user_values_grads(beta, theta)
-        if abs(values[0] - values[1]) < 1e-15:
-            return float(values[0]), 0.5 * (grads[0] + grads[1])
-        k = int(np.argmin(values))
-        return float(values[k]), grads[k]
+        (f1, x1, y1), (f2, x2, y2) = self.user_values(beta, theta)
+        if abs(f1 - f2) < 1e-15:
+            f, x, y = f1, 0.5 * (x1 + x2), 0.5 * (y1 + y2)
+        else:
+            f, x, y = (f1, x1, y1) if f1 <= f2 else (f2, x2, y2)
+        return f, self.a1 * x * self.hr - self.a2 * y * self.ht
+
+
+def _rate_and_slopes(u: float, du: tuple[float, float]) -> tuple[float, float, float]:
+    """0.5 * log2(1 + c * u) and its derivatives given du = (du/dg1, du/dg2);
+    zeros where the eliminated SINR bound u is clamped at 0."""
+    if u <= 0.0:
+        return 0.0, 0.0, 0.0
+    drate_du = 0.5 * RATE_SINR_SCALE / (_LN2 * (1.0 + RATE_SINR_SCALE * u))
+    return 0.5 * math.log2(1.0 + RATE_SINR_SCALE * u), drate_du * du[0], drate_du * du[1]
 
 
 def reduced_objective(beta, theta, channels: ChannelSet, scenario: Scenario,
@@ -196,7 +196,7 @@ def reduced_objective(beta, theta, channels: ChannelSet, scenario: Scenario,
 
 
 def _project(beta: np.ndarray) -> np.ndarray:
-    return np.clip(beta, 0.0, 1.0)
+    return np.minimum(np.maximum(beta, 0.0), 1.0)
 
 
 def _pga(fg, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -207,7 +207,7 @@ def _pga(fg, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndarray, float, b
     step falls back to `SETTINGS.step_init`. Returns (beta, its value,
     converged).
     """
-    beta = _project(np.asarray(beta0, dtype=float).copy())
+    beta = _project(np.asarray(beta0, dtype=float))
     f, g = fg(beta, theta)
     if beta.size == 0:
         return beta, f, True
@@ -216,7 +216,7 @@ def _pga(fg, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndarray, float, b
     prev_g = None
     for _ in range(SETTINGS.max_inner_iterations):
         pg = _project(beta + g) - beta
-        if float(np.max(np.abs(pg))) < SETTINGS.inner_tolerance:
+        if np.abs(pg).max() < SETTINGS.inner_tolerance:
             return beta, f, True
         if prev_beta is not None:
             db = beta - prev_beta
@@ -232,7 +232,7 @@ def _pga(fg, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndarray, float, b
         for _bt in range(200):
             cand = _project(beta + t * g)
             d = cand - beta
-            if float(np.max(np.abs(d))) == 0.0:
+            if np.abs(d).max() == 0.0:
                 break
             fc, gc = fg(cand, theta)
             if fc >= f + SETTINGS.armijo_slope * float(g @ d):

@@ -477,7 +477,8 @@ class TestCliEntry:
                                       "ap.position = [1, 'a', 2]", "ris.center = None",
                                       "power.ue1 = 1e400", "ris.pitch = {[1]: 2}",
                                       "power.ue1 = 1e200\npower.ue2 = 1e200",
-                                      "power.ue1 = 1e154\npower.ue2 = 1e154"])
+                                      "power.ue1 = 1e154\npower.ue2 = 1e154",
+                                      "power.ue1 = 1e150\npower.ue2 = 1e150"])
     def test_non_numeric_scalar_exit_code(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(line + "\n")

@@ -22,6 +22,7 @@ from starvlc import (
     vertex_enumerate,
 )
 from starvlc import spca
+from starvlc.link import RATE_SINR_SCALE
 from starvlc.spca import _ReducedProblem
 from util import random_scenario, reference_scenario
 
@@ -30,6 +31,60 @@ def small_setup(seed=0, rows=2, cols=3):
     rng = np.random.default_rng(seed)
     sc = random_scenario(rng, rows=rows, cols=cols)
     return sc, channel_set(sc)
+
+
+def reference_user_values_grads(prob, beta, theta):
+    """Per-user reduced values and (2, N) gradients w.r.t. beta, each built
+    element by element from dA/dbeta and dV^2/dbeta: the vectorised
+    reference for the scalar derivatives in `_ReducedProblem`."""
+    h1, h2 = prob.gains(beta)
+    g1 = prob.a1 * h1
+    g2 = prob.a2 * h2
+    dg1 = prob.a1 * prob.hr  # dH1/dbeta = hr, dH2/dbeta = -ht
+    dg2 = -prob.a2 * prob.ht
+    if prob.scheme is DetectorScheme.SIC:
+        a, da = (g1 / prob.sigma, g2), (dg1 / prob.sigma, dg2)
+        v2, dv2 = (1.0, g1 * g1 + prob.sigma2), (None, 2.0 * g1 * dg1)
+    else:
+        a, da = (g1, g2), (dg1, dg2)
+        v2 = (g2 * g2 + prob.sigma2, g1 * g1 + prob.sigma2)
+        dv2 = (2.0 * g2 * dg2, 2.0 * g1 * dg1)
+    values = np.zeros(2)
+    grads = np.zeros((2, prob.n))
+    for k in range(2):
+        t = theta[k]
+        u = 2.0 * t * a[k] - t * t * v2[k]
+        if u <= 0.0:
+            continue
+        values[k] = 0.5 * math.log2(1.0 + RATE_SINR_SCALE * u)
+        du = 2.0 * t * da[k] - (0.0 if dv2[k] is None else t * t * dv2[k])
+        grads[k] = 0.5 * RATE_SINR_SCALE / (math.log(2.0) * (1.0 + RATE_SINR_SCALE * u)) * du
+    return values, grads
+
+
+def reference_value_grad(prob, beta, theta):
+    """`_ReducedProblem.value_grad` from the per-user gradients."""
+    values, grads = reference_user_values_grads(prob, beta, theta)
+    weights = np.asarray(prob.weights, dtype=float)
+    return float(weights @ values), weights @ grads
+
+
+def reference_min_value_grad(prob, beta, theta):
+    """`_ReducedProblem.min_value_grad` from the per-user gradients."""
+    values, grads = reference_user_values_grads(prob, beta, theta)
+    if abs(values[0] - values[1]) < 1e-15:
+        return float(values[0]), 0.5 * (grads[0] + grads[1])
+    k = int(np.argmin(values))
+    return float(values[k]), grads[k]
+
+
+def assert_matches_reference(prob, beta, theta):
+    for fg, ref in ((prob.value_grad, reference_value_grad),
+                    (prob.min_value_grad, reference_min_value_grad)):
+        f, g = fg(beta, theta)
+        f_ref, g_ref = ref(prob, beta, theta)
+        assert f == pytest.approx(f_ref, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(g, g_ref, rtol=1e-12, atol=0.0)
 
 
 class TestSurrogateBound:
@@ -98,6 +153,60 @@ class TestReducedObjective:
                 fm = reduced_objective(0.5 * (a + b), theta, ch, sc, scheme)[0]
                 assert fm >= 0.5 * (fa + fb) - 1e-10
             assert checked >= 100
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_value_grad_matches_reference(self, scheme, weights):
+        """Values and gradients from the two scalar derivatives match the
+        per-user vectorised reference on seeded room panels (with and
+        without dead elements), near the tight surrogate parameters and
+        with one user's bound clamped at 0 (theta past 2 A / V^2)."""
+        rng = np.random.default_rng(61)
+        clamped = 0
+        for sc, ch in [*room_panels(1, True), *room_panels(1, False)]:
+            prob = _ReducedProblem(ch, sc, scheme, weights)
+            for k in range(6):
+                beta = rng.uniform(0.0, 1.0, size=ch.element_count)
+                a, v2 = prob.terms(beta)
+                theta = (a / v2) * 10.0 ** rng.uniform(-0.3, 0.25, size=2)
+                if k >= 4:
+                    theta[k - 4] = 3.0 * a[k - 4] / v2[k - 4]
+                    clamped += 1
+                    values, _ = reference_user_values_grads(prob, beta, theta)
+                    assert values[k - 4] == 0.0
+                assert_matches_reference(prob, beta, theta)
+        assert clamped == 16
+
+    def test_min_value_grad_tie_matches_reference(self):
+        """Equal user values take the average of the two users' gradients:
+        a SUD panel whose users mirror each other (equal powers, H1 == H2
+        exactly at beta = 0.5, equal theta) ties exactly."""
+        v = np.array([3.0, 1.0, 2.0, 5.0]) * 2.0 ** -20
+        ch = ChannelSet(h_los=float(v.sum()) / 2.0, h_reflect=v, h_transmit=2.0 * v)
+        sc = replace(reference_scenario(), p1=0.05, p2=0.05)
+        prob = _ReducedProblem(ch, sc, DetectorScheme.SUD)
+        beta = np.full(4, 0.5)
+        a, v2 = prob.terms(beta)
+        theta = 0.5 * a / v2
+        values, _ = reference_user_values_grads(prob, beta, theta)
+        assert values[0] == values[1] > 0.0
+        assert_matches_reference(prob, beta, theta)
+        _, g = prob.min_value_grad(beta, theta)
+        assert np.all(g != 0.0)
+
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_solvers_match_the_reference_gradient(self, scheme, monkeypatch):
+        """ES, time-sharing and MS return bitwise the same beta and rates
+        when the reduced objective is the per-user reference, on seeded
+        room panels with dead elements."""
+        panels = list(room_panels(2, dead_elements=True))
+        solvers = (spca_optimize, time_sharing_optimize, mode_switching_optimize)
+        fast = [solve(ch, sc, scheme) for sc, ch in panels for solve in solvers]
+        monkeypatch.setattr(_ReducedProblem, "value_grad", reference_value_grad)
+        slow = [solve(ch, sc, scheme) for sc, ch in panels for solve in solvers]
+        for a, b in zip(fast, slow):
+            np.testing.assert_array_equal(a.beta, b.beta)
+            assert a.rates == b.rates
 
     def test_invalid_theta_rejected(self):
         sc, ch = small_setup()
