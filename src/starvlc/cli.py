@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
-import math
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -39,6 +38,7 @@ from .link import DetectorScheme, rates_from_gains
 from .oracle import MAX_ENUM_ELEMENTS, coordinate_scan, vertex_enumerate
 from .spca import (
     SETTINGS,
+    check_float_range,
     max_min_optimize,
     mode_switching_optimize,
     spca_optimize,
@@ -317,31 +317,16 @@ def no_ris_rate_ue1(scenario: Scenario) -> float:
 
 
 def _channels(scenario: Scenario):
-    """`channel_set(scenario)`; geometry it cannot use, or powers whose
-    peak SNRs overflow the solver's float arithmetic, is a ConfigError."""
+    """`channel_set(scenario)`; geometry it cannot use, or powers that
+    overflow the solver's float arithmetic, is a ConfigError."""
     try:
         ch = channel_set(scenario)
     except ValueError as err:
         raise ConfigError(f"invalid scenario geometry: {err}") from err
-    # A user's peak SNR, its signal power at its largest effective gain (H1 at
-    # beta = 1, H2 at beta = 0) over the noise variance, bounds its signal
-    # power and every SINR either scheme forms for it. The solver's largest
-    # intermediate is theta^2 V^2 in the eliminated SINR bound: after an
-    # update theta = A / V^2 at one iterate, it is at most snr1 * (snr2 + 1)
-    # at any other, and at the start theta_init^2 * sigma^2 * (snr + 1). If
-    # these are finite, no coefficient vector overflows.
-    rho, sigma2 = scenario.front_end.responsivity, scenario.noise_variance
-    peaks = ((ch.h_los + float(ch.h_reflect.sum()), scenario.p1),
-             (float(ch.h_transmit.sum()), scenario.p2))
     try:
-        snr1, snr2 = ((rho * h * p) ** 2 / sigma2 for h, p in peaks)
-    except OverflowError:  # float ** raises where float * and / return inf
-        snr1 = snr2 = math.inf
-    bounds = ((snr1 + 1.0) * (snr2 + 1.0),
-              SETTINGS.theta_init ** 2 * sigma2 * (max(snr1, snr2) + 1.0))
-    if not all(math.isfinite(b) for b in bounds):
-        raise ConfigError(f"power.ue1, power.ue2: peak SNRs overflow the solver's floats "
-                          f"({scenario.p1!r} W, {scenario.p2!r} W)")
+        check_float_range(ch, scenario)
+    except ValueError as err:
+        raise ConfigError(f"power.ue1, power.ue2, noise.variance: {err}") from err
     return ch
 
 

@@ -172,6 +172,28 @@ class _ReducedProblem:
         return f, self.a1 * x * self.hr - self.a2 * y * self.ht
 
 
+def check_float_range(channels: ChannelSet, scenario: Scenario) -> None:
+    """Raise ValueError if the powers and noise variance can overflow the
+    solvers' floats.
+
+    Over the box every amplitude |g_k| is at most `g` and every theta the
+    outer loop reaches (theta_init, or A_k / V_k^2 with V_k^2 >= min(1,
+    sigma^2)) at most `t`; every SINR is below t^2. `term` bounds each term
+    and slope `user_values` forms, `grad` each gradient entry (a_k |h_i| <=
+    g); `_pga` scales a gradient by at most 1e12 or sums N products of
+    them, and 1e3 covers the constant factors."""
+    rho, sigma2 = scenario.front_end.responsivity, scenario.noise_variance
+    sigma = math.sqrt(sigma2)
+    g = max(rho * scenario.p1 * (abs(channels.h_los) + float(np.abs(channels.h_reflect).sum())),
+            rho * scenario.p2 * float(np.abs(channels.h_transmit).sum()))
+    t = max(SETTINGS.theta_init, 1.0, g / sigma, g / sigma2)
+    term = t * t * (g * g + sigma2 + 1.0) * (1.0 + 1.0 / sigma)
+    grad = RATE_SINR_SCALE * term * (g + 1.0)
+    if not math.isfinite(grad * (channels.element_count + 1) * 1e15):
+        raise ValueError(f"powers {scenario.p1!r} W, {scenario.p2!r} W overflow the "
+                         f"solver's floats at noise variance {sigma2!r}")
+
+
 def _rate_and_slopes(u: float, du: tuple[float, float]) -> tuple[float, float, float]:
     """0.5 * log2(1 + c * u) and its derivatives given du = (du/dg1, du/dg2);
     zeros where the eliminated SINR bound u is clamped at 0."""

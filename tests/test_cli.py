@@ -478,7 +478,9 @@ class TestCliEntry:
                                       "power.ue1 = 1e400", "ris.pitch = {[1]: 2}",
                                       "power.ue1 = 1e200\npower.ue2 = 1e200",
                                       "power.ue1 = 1e154\npower.ue2 = 1e154",
-                                      "power.ue1 = 1e150\npower.ue2 = 1e150"])
+                                      "power.ue1 = 1e150\npower.ue2 = 1e150",
+                                      "power.ue1 = 1e150\npower.ue2 = 0.05",
+                                      "power.ue1 = 0.05\npower.ue2 = 2.3e151"])
     def test_non_numeric_scalar_exit_code(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(line + "\n")
@@ -487,6 +489,17 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert line.split(" = ")[0] in err
         assert "Traceback" not in err
+
+    def test_sud_power_overflow_exit_code(self, tmp_path, capsys):
+        """Under SUD, theta_1 reaches g1 / sigma^2, whose square overflows
+        at 1e150 W although both peak SNRs are finite."""
+        bad = tmp_path / "bad.txt"
+        bad.write_text("power.ue1 = 1e150\npower.ue2 = 0.05\n")
+        code = main(["solve", "--scheme", "sud", "--scenario", str(bad),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error: power.ue1, power.ue2, noise.variance:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestVersion:

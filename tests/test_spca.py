@@ -214,6 +214,36 @@ class TestReducedObjective:
             reduced_objective(np.zeros(ch.element_count), [0.0, 1.0], ch, sc,
                               DetectorScheme.SUD)
 
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    @pytest.mark.parametrize("user", ["p1", "p2"])
+    def test_float_range_limit_keeps_the_objective_finite(self, scheme, user):
+        """At the largest power `check_float_range` accepts for one user (the
+        other at its default), the per-user reference forms every product
+        without a numpy overflow, at both vertices and the midpoint and at
+        every pair of theta_init and the largest theta A / V^2 can reach."""
+        sc = reference_scenario()
+        ch = channel_set(sc)
+        lo, hi = 0.0, 308.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            try:
+                spca.check_float_range(ch, replace(sc, **{user: 10.0 ** mid}))
+                lo = mid
+            except ValueError:
+                hi = mid
+        prob = _ReducedProblem(ch, replace(sc, **{user: 10.0 ** lo}), scheme)
+        g = max(prob.a1 * (prob.h_los + prob.hr.sum()), prob.a2 * prob.ht.sum())
+        thetas = (spca.SETTINGS.theta_init, g / prob.sigma2)
+        with np.errstate(over="raise", invalid="raise"):
+            for b in (0.0, 0.5, 1.0):
+                beta = np.full(ch.element_count, b)
+                for theta in np.array([(t1, t2) for t1 in thetas for t2 in thetas]):
+                    for ref in (reference_value_grad, reference_min_value_grad):
+                        f, grad = ref(prob, beta, theta)
+                        assert math.isfinite(f) and np.all(np.isfinite(grad))
+                    f, grad = prob.value_grad(beta, theta)
+                    assert math.isfinite(f) and np.all(np.isfinite(grad))
+
 
 class TestSubproblem:
     def test_solution_is_stationary(self):
