@@ -22,7 +22,7 @@ from .link import (
     sinr_from_gains,
     sum_rate,
 )
-from .oracle import OracleReport, coordinate_scan, mask_to_beta, vertex_enumerate
+from .oracle import OracleReport, coordinate_scan, vertex_enumerate
 from .spca import (
     SpcaConfig,
     SpcaResult,
@@ -57,7 +57,6 @@ __all__ = [
     "sum_rate",
     "OracleReport",
     "coordinate_scan",
-    "mask_to_beta",
     "vertex_enumerate",
     "SpcaConfig",
     "SpcaResult",

@@ -86,9 +86,9 @@ class ChannelSet:
         object.__setattr__(self, "h_transmit", np.asarray(self.h_transmit, dtype=float))
         if self.h_reflect.shape != self.h_transmit.shape:
             raise ValueError("reflect and transmit gain vectors must have equal length")
-        if not (np.isfinite(self.h_los) and np.all(np.isfinite(self.h_reflect))
-                and np.all(np.isfinite(self.h_transmit))):
-            raise ValueError("channel gains must be finite")
+        gains = np.concatenate(([self.h_los], self.h_reflect.ravel(), self.h_transmit.ravel()))
+        if not np.all(np.isfinite(gains) & (gains >= 0.0)):
+            raise ValueError("channel gains must be finite and nonnegative")
 
     @property
     def element_count(self) -> int:

@@ -1,6 +1,6 @@
-"""Ground-truth solvers for small panels: exhaustive enumeration of every
-binary coefficient vector, in numpy blocks, and per-coordinate sum-rate
-scans."""
+"""Ground-truth solvers: the exact sum-rate optimum over the coefficient
+box, found by walking the outer chain of the (H1, H2) zonotope at any N, and
+per-coordinate sum-rate scans."""
 
 from __future__ import annotations
 
@@ -13,9 +13,6 @@ from ._kernels import enumerate_vertices
 from .channel import ChannelSet, Scenario
 from .link import DetectorScheme, RatePair, rate_pair, sum_rate
 
-# 2^24 ~ 16M vertex evaluations: a few tenths of a second per call.
-MAX_ENUM_ELEMENTS = 24
-
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -25,36 +22,26 @@ class OracleReport:
     runtime: float
 
 
-def mask_to_beta(mask: int, n: int) -> np.ndarray:
-    return np.array([(mask >> i) & 1 for i in range(n)], dtype=float)
-
-
 def vertex_enumerate(channels: ChannelSet, scenario: Scenario,
                      scheme: DetectorScheme) -> OracleReport:
-    """Evaluate the exact sum-rate at every binary coefficient vector.
+    """The exact sum-rate optimum over [0, 1]^N, at a binary beta.
 
-    Ties are broken toward the lexicographically smallest beta. Panels above
-    MAX_ENUM_ELEMENTS elements are rejected; use the SPCA solver for those.
+    Evaluates the N_live + 1 vertices of the outer chain (see
+    `starvlc._kernels`). Dead elements are set to 1; among tied vertices the
+    first along the walk wins.
     """
-    n = channels.element_count
-    if n > MAX_ENUM_ELEMENTS:
-        raise ValueError(
-            f"vertex enumeration is capped at {MAX_ENUM_ELEMENTS} elements "
-            f"(got {n}); use the SPCA solver for larger panels"
-        )
     rho = scenario.front_end.responsivity
     start = time.perf_counter()
-    mask, _val, evaluations = enumerate_vertices(
+    beta, _val, evaluations = enumerate_vertices(
         channels.h_los,
-        np.ascontiguousarray(channels.h_reflect),
-        np.ascontiguousarray(channels.h_transmit),
+        channels.h_reflect,
+        channels.h_transmit,
         rho * scenario.p1,
         rho * scenario.p2,
         scenario.noise_variance,
         scheme is DetectorScheme.SIC,
     )
     runtime = time.perf_counter() - start
-    beta = mask_to_beta(mask, n)
     return OracleReport(
         best_beta=beta,
         best_rates=rate_pair(channels, beta, scenario, scheme),

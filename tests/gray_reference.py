@@ -1,9 +1,10 @@
 """Pure-Python Gray-code vertex enumeration, the reference the tests hold
-the numpy kernel `starvlc._kernels.enumerate_vertices` to.
+the chain walk `starvlc._kernels.enumerate_vertices` to.
 
 Walks all 2^N binary coefficient vectors in binary-reflected Gray order so
 each step flips a single coordinate, letting the two effective gains be
-updated in O(1) per vertex instead of O(N).
+updated in O(1) per vertex instead of O(N). It assumes nothing about the
+geometry of the (H1, H2) zonotope, which the walk relies on.
 """
 
 import math
@@ -11,22 +12,12 @@ import math
 _C = math.e / (2.0 * math.pi)
 
 
-def _lex_key(mask: int, n: int) -> int:
-    """Map a bit mask (bit i = beta_i) to an integer whose ordering matches
-    lexicographic ordering of the beta vector (beta_0 most significant)."""
-    key = 0
-    for i in range(n):
-        if mask >> i & 1:
-            key |= 1 << (n - 1 - i)
-    return key
-
-
 def enumerate_vertices(h_los, hr, ht, a1, a2, sigma2, sic):
     """Exact sum-rate maximization over all binary coefficient vectors.
 
     `a1`, `a2` are responsivity * power per user. Returns
-    (best_mask, best_value, evaluations); ties go to the lexicographically
-    smallest beta vector.
+    (best_mask, best_value, evaluations) with bit i of `best_mask` set iff
+    beta_i = 1; ties go to the first maximum in Gray order.
     """
     n = len(hr)
     h1 = h_los
@@ -58,9 +49,7 @@ def enumerate_vertices(h_los, hr, ht, a1, a2, sigma2, sic):
             h1 -= hr[j]
             h2 += ht[j]
         val = value(h1, h2)
-        if val > best_val or (
-            val == best_val and _lex_key(mask, n) < _lex_key(best_mask, n)
-        ):
+        if val > best_val:
             best_val = val
             best_mask = mask
     return best_mask, best_val, 1 << n

@@ -166,7 +166,7 @@ class TestChannelSet:
         with pytest.raises(ValueError):
             ChannelSet(h_los=0.0, h_reflect=np.zeros(3), h_transmit=np.zeros(4))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-6])
     @pytest.mark.parametrize("gain", ["h_los", "h_reflect", "h_transmit"])
     def test_non_finite_gains_rejected(self, gain, bad):
         gains = {"h_los": 1e-6, "h_reflect": [1e-6, 2e-6], "h_transmit": [1e-6, 2e-6]}
@@ -213,10 +213,11 @@ class TestScenarioValidation:
 
 
 def one_element_negated(obj, field):
-    """`obj` with the first nonzero element of its array `field` negated."""
+    """`obj` with the first nonzero element of its array `field` negated, or
+    halved for a channel gain, which must stay nonnegative."""
     values = np.array(getattr(obj, field))
     i = int(np.flatnonzero(values)[0])
-    values[i] = -values[i]
+    values[i] = 0.5 * values[i] if isinstance(obj, ChannelSet) else -values[i]
     return replace(obj, **{field: values})
 
 

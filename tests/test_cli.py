@@ -241,6 +241,18 @@ class TestRunSweep:
         for name, value in asdict(SpcaConfig()).items():
             assert manifest[f"spca.{name}"] == value
 
+    def test_oracle_check_past_24_elements(self, tmp_path):
+        """Every point of an element-count sweep up to the default 80
+        elements carries its exact optimum and the solver's gap to it."""
+        spec = SweepSpec(parameter="element_count", start=8, stop=80, steps=4,
+                         scenario=default_scenario(), oracle_check=True)
+        assert run_sweep(spec, tmp_path)
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert [int(float(r[0])) for r in rows[1:]] == [8, 32, 56, 80]
+        for row in rows[1:]:
+            assert float(row[7]) == pytest.approx(float(row[3]) + float(row[8]), abs=1e-12)
+            assert abs(float(row[8])) <= 1e-9
+
     def test_byte_identical_reruns(self, tmp_path):
         spec = SweepSpec(parameter="power_both", start=0.01, stop=0.05, steps=3,
                          scenario=small_sweep_scenario())
@@ -355,8 +367,20 @@ class TestCliEntry:
         code = main(["oracle", "--scenario", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 0
         rows = read_csv(tmp_path / "out" / "oracle.csv")
-        assert rows[0][0] == "sum_rate"
-        assert int(rows[1][3]) == 2**6
+        assert rows[0] == ["sum_rate", "r1", "r2", "evaluations", "runtime_s"]
+        assert int(rows[1][3]) == 6 + 1  # N_live + 1 chain vertices
+        assert "7 vertices" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_oracle_on_the_default_panel(self, tmp_path, capsys, scheme):
+        """No size cap: the default 80-element panel exits 0 with its 81
+        chain vertices, and the ES solver reaches the exact optimum."""
+        assert main(["oracle", "--scheme", scheme.value, "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "oracle.csv")
+        assert int(rows[1][3]) == 81
+        sc = default_scenario()
+        es = spca_optimize(channel_set(sc), sc, scheme)
+        assert abs(float(rows[1][0]) - es.rates.sum) <= 1e-9
 
     def test_scan_command(self, tmp_path):
         cfg = tmp_path / "scenario.txt"
@@ -417,7 +441,7 @@ class TestCliEntry:
             main(["solve", "--out", str(tmp_path)])
 
     @pytest.mark.parametrize("argv, message", [
-        (["oracle"], "capped at 24"),
+        (["oracle", "--scenario", "no-such-scenario.txt"], "no-such-scenario.txt"),
         (["scan", "--grid-points", "2"], "--grid-points"),
     ])
     def test_input_errors_exit_1(self, tmp_path, capsys, argv, message):

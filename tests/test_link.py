@@ -166,13 +166,16 @@ class TestRatePair:
         """Along a segment that raises H1 and lowers H2, as raising one
         element's coefficient does, the sum rate peaks at an endpoint: a
         coordinate's best value is 0 or 1, so the ES optimum can be binary.
-        Seeded segments over six decades of power and three of gain, some
-        along one axis only; 1e-12 allows for rounding alone."""
+        The exact oracle rests on this along its chain's edges. Seeded
+        segments over six decades of power, three of gain and twelve of
+        noise variance, some along one axis only; 1e-12 allows for rounding
+        alone."""
         rng = np.random.default_rng(11)
         t = np.linspace(0.0, 1.0, 21)
         for _ in range(1000):
             sc = replace(reference_scenario(), p1=float(10 ** rng.uniform(-3, 0)),
-                         p2=float(10 ** rng.uniform(-3, 0)))
+                         p2=float(10 ** rng.uniform(-3, 0)),
+                         noise_variance=float(10 ** rng.uniform(-16, -4)))
             scale = 10 ** rng.uniform(-6, -3)
             h1, h2 = scale * rng.uniform(0.0, 2.0, 2)
             d1, d2 = scale * rng.uniform(0.0, 2.0, 2) * (rng.random(2) > 0.1)

@@ -369,6 +369,16 @@ def room_panels(count, dead_elements):
         yield sc, with_dead_elements(ch) if dead_elements else ch
 
 
+def paper_scale_panels(dead_elements):
+    """The default scenario and seeded room panels at N = 80 and 1280,
+    every third element dead if `dead_elements`."""
+    rng = np.random.default_rng(3 if dead_elements else 4)
+    shapes = [(10, 8), (40, 32)] * 3
+    for sc in [reference_scenario(), *(random_scenario(rng, r, c) for r, c in shapes)]:
+        ch = channel_set(sc)
+        yield sc, with_dead_elements(ch) if dead_elements else ch
+
+
 def es_with_fractional_dead_elements(monkeypatch):
     """Make `mode_switching_optimize` round from an ES optimum whose dead
     elements sit at 0.5 (any value is optimal there), so the rounding has
@@ -491,12 +501,17 @@ class TestModeSwitching:
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
     def test_es_optimum_is_binary_and_is_ms(self, scheme, dead_elements):
         """The paper's claim that ES and MS perform the same: on seeded room
-        panels the ES optimum is already binary, so MS returns it as is."""
-        for sc, ch in room_panels(4, dead_elements):
+        panels, at N = 80 and 1280 too, and on the default scenario, the ES
+        optimum is already binary, so MS returns it as is, and both reach
+        the exact optimum."""
+        for sc, ch in [*room_panels(4, dead_elements), *paper_scale_panels(dead_elements)]:
             es = spca_optimize(ch, sc, scheme)
             assert not np.any(fractional(es.beta))
-            np.testing.assert_array_equal(mode_switching_optimize(ch, sc, scheme).beta,
-                                          es.beta)
+            ms = mode_switching_optimize(ch, sc, scheme)
+            np.testing.assert_array_equal(ms.beta, es.beta)
+            exact = vertex_enumerate(ch, sc, scheme).best_rates.sum
+            assert abs(es.rates.sum - exact) <= 1e-9
+            assert abs(ms.rates.sum - exact) <= 1e-9
 
 
 class TestDeadElements:
