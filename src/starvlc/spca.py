@@ -17,8 +17,8 @@ With the signal term A_k and interference-norm term V_k defined per scheme
 and the reduced objective is sum_k w_k * 0.5 * log2(1 + (e/2pi) * u_k).
 Each u_k depends on beta only through the effective gains H1 = h_los +
 beta.h_reflect and H2 = sum(h_transmit) - beta.h_transmit, so an objective
-F of the u_k has grad F = (dF/dH1) * h_reflect - (dF/dH2) * h_transmit: an
-evaluation is two dot products, float arithmetic and one N-vector combine.
+F of the u_k has grad F = (dF/dH1) * h_reflect - (dF/dH2) * h_transmit: F and
+its two slopes cost two dot products; `_pga` combines gradients per accepted step.
 
 Every solver runs with one fixed set of settings, `SETTINGS`; none takes
 settings as an argument.
@@ -156,20 +156,22 @@ class _ReducedProblem:
         du2 = (-2.0 * t2 * t2 * g1, 2.0 * t2)
         return _rate_and_slopes(u1, du1), _rate_and_slopes(u2, du2)
 
-    def value_grad(self, beta: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_slopes(self, beta: np.ndarray, theta: np.ndarray) -> tuple[float, float, float]:
+        """Weighted objective and its slopes (dF/dg1, dF/dg2)."""
         (f1, x1, y1), (f2, x2, y2) = self.user_values(beta, theta)
         w1, w2 = self.weights
-        x, y = w1 * x1 + w2 * x2, w1 * y1 + w2 * y2
-        return w1 * f1 + w2 * f2, self.a1 * x * self.hr - self.a2 * y * self.ht
+        return w1 * f1 + w2 * f2, w1 * x1 + w2 * x2, w1 * y1 + w2 * y2
 
-    def min_value_grad(self, beta: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """Pointwise-min objective and a subgradient (for max-min fairness)."""
+    def min_value_slopes(self, beta: np.ndarray, theta: np.ndarray) -> tuple[float, float, float]:
+        """Pointwise-min objective and a subgradient's slopes (max-min fairness)."""
         (f1, x1, y1), (f2, x2, y2) = self.user_values(beta, theta)
         if abs(f1 - f2) < 1e-15:
-            f, x, y = f1, 0.5 * (x1 + x2), 0.5 * (y1 + y2)
-        else:
-            f, x, y = (f1, x1, y1) if f1 <= f2 else (f2, x2, y2)
-        return f, self.a1 * x * self.hr - self.a2 * y * self.ht
+            return f1, 0.5 * (x1 + x2), 0.5 * (y1 + y2)
+        return (f1, x1, y1) if f1 <= f2 else (f2, x2, y2)
+
+    def gradient(self, x: float, y: float) -> np.ndarray:
+        """The gradient in beta of an objective with slopes (x, y)."""
+        return self.a1 * x * self.hr - self.a2 * y * self.ht
 
 
 def check_float_range(channels: ChannelSet, scenario: Scenario) -> None:
@@ -213,24 +215,31 @@ def reduced_objective(beta, theta, channels: ChannelSet, scenario: Scenario,
     if np.any(theta <= 0.0):
         raise ValueError("surrogate parameters must be positive")
     prob = _ReducedProblem(channels, scenario, scheme)
-    beta = np.asarray(beta, dtype=float)
-    return prob.value_grad(beta, theta)
+    f, x, y = prob.value_slopes(np.asarray(beta, dtype=float), theta)
+    return f, prob.gradient(x, y)
 
 
 def _project(beta: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(beta, 0.0), 1.0)
 
 
-def _pga(fg, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Projected gradient ascent of `fg(beta, theta)` -> (value, gradient)
-    over the box with BB step + Armijo backtracking.
+def _pga(prob, objective, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Projected gradient ascent over the box of `objective` -> (f, x, y), whose
+    gradient is `prob.gradient(x, y)`, with BB step + Armijo backtracking.
 
     The spectral step keeps the iteration scale-invariant; the very first
     step falls back to `SETTINGS.step_init`. Returns (beta, its value,
     converged).
+
+    A trial takes the candidate's value fc first. The projection never moves a
+    coordinate against its gradient entry, so g @ (cand - beta) >= 0 in floats
+    (test_projection_step_never_opposes_the_gradient) and fc < f fails Armijo
+    with no step d formed; a stall (d == 0, so fc == f) is caught on the other
+    branch. Gradients are formed only at the start and at accepted steps.
     """
     beta = _project(np.asarray(beta0, dtype=float))
-    f, g = fg(beta, theta)
+    f, x, y = objective(beta, theta)
+    g = prob.gradient(x, y)
     if beta.size == 0:
         return beta, f, True
     step = SETTINGS.step_init
@@ -253,19 +262,20 @@ def _pga(fg, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndarray, float, b
         t = step
         for _bt in range(200):
             cand = _project(beta + t * g)
-            d = cand - beta
-            if np.abs(d).max() == 0.0:
-                break
-            fc, gc = fg(cand, theta)
-            if fc >= f + SETTINGS.armijo_slope * float(g @ d):
-                accepted = True
-                break
+            fc, xc, yc = objective(cand, theta)
+            if fc >= f:
+                d = cand - beta
+                if np.abs(d).max() == 0.0:
+                    break
+                if fc >= f + SETTINGS.armijo_slope * float(g @ d):
+                    accepted = True
+                    break
             t *= SETTINGS.armijo_shrink
         if not accepted:
             # no ascent step found: treat as converged at a stationary point
             return beta, f, True
         prev_beta, prev_g = beta, g
-        beta, f, g = cand, fc, gc
+        beta, f, g = cand, fc, prob.gradient(xc, yc)
     return beta, f, False
 
 
@@ -287,7 +297,7 @@ def solve_subproblem(theta, channels: ChannelSet, scenario: Scenario,
     if np.any(theta <= 0.0):
         raise ValueError("surrogate parameters must be positive")
     prob = _ReducedProblem(channels, scenario, scheme)
-    beta, _, converged = _pga(prob.value_grad, theta, _start(prob, SETTINGS.beta_init))
+    beta, _, converged = _pga(prob, prob.value_slopes, theta, _start(prob, SETTINGS.beta_init))
     return beta, converged
 
 
@@ -323,7 +333,7 @@ def _theta_update(u: np.ndarray, v: np.ndarray, theta_prev: np.ndarray) -> np.nd
 def _spca_loop(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
                beta0: float, weights, minmax: bool) -> SpcaResult:
     prob = _ReducedProblem(channels, scenario, scheme, weights)
-    fg = prob.min_value_grad if minmax else prob.value_grad
+    objective = prob.min_value_slopes if minmax else prob.value_slopes
     theta = np.full(2, SETTINGS.theta_init)
     beta = _start(prob, beta0)
     trace: list[TraceEntry] = []
@@ -332,7 +342,7 @@ def _spca_loop(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
     inner_ok = True
     iterations = 0
     for _m in range(SETTINGS.max_outer_iterations):
-        beta, value, ok = _pga(fg, theta, beta)
+        beta, value, ok = _pga(prob, objective, theta, beta)
         inner_ok = inner_ok and ok
         iterations += 1
         u, v = _recover_auxiliaries(prob, beta)
