@@ -34,14 +34,15 @@ class OpticalFrontEnd:
     responsivity: float = 0.7
 
     def __post_init__(self):
-        if self.area <= 0.0:
-            raise ValueError(f"detector area must be positive, got {self.area}")
+        if not 0.0 < self.area < math.inf:  # NaN fails too
+            raise ValueError(f"detector area must be positive and finite, got {self.area}")
         if not 0.0 < self.fov_deg <= 90.0:
             raise ValueError(f"FOV half-angle must be in (0, 90] degrees, got {self.fov_deg}")
-        if self.gain <= 0.0:
-            raise ValueError(f"concentrator/filter gain must be positive, got {self.gain}")
-        if self.responsivity <= 0.0:
-            raise ValueError(f"responsivity must be positive, got {self.responsivity}")
+        if not 0.0 < self.gain < math.inf:
+            raise ValueError(f"concentrator/filter gain must be positive and finite, "
+                             f"got {self.gain}")
+        if not 0.0 < self.responsivity < math.inf:
+            raise ValueError(f"responsivity must be positive and finite, got {self.responsivity}")
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,11 @@ class Scenario:
     noise_variance: float = 1e-10
 
     def __post_init__(self):
-        if self.p1 < 0.0 or self.p2 < 0.0:
-            raise ValueError(f"powers must be nonnegative, got {self.p1}, {self.p2}")
-        if self.noise_variance <= 0.0:
-            raise ValueError(f"noise variance must be positive, got {self.noise_variance}")
+        if not (0.0 <= self.p1 < math.inf and 0.0 <= self.p2 < math.inf):  # NaN fails too
+            raise ValueError(f"powers must be nonnegative and finite, got {self.p1}, {self.p2}")
+        if not 0.0 < self.noise_variance < math.inf:
+            raise ValueError(f"noise variance must be positive and finite, "
+                             f"got {self.noise_variance}")
         n = self.panel.normal
         c = self.panel.center
         side = lambda p: float(np.dot(p.position - c, n))

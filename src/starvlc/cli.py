@@ -80,8 +80,10 @@ def default_scenario() -> Scenario:
 
 
 def parse_kv_file(path) -> dict:
-    """Parse a flat key-value config file into a dict."""
+    """Parse a flat key-value config file into a dict; a key given twice is
+    a ConfigError naming both lines."""
     entries = {}
+    lines = {}
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as err:
@@ -97,6 +99,10 @@ def parse_kv_file(path) -> dict:
         value = value.strip()
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: {key} given twice, "
+                              f"on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
         try:
             entries[key] = ast.literal_eval(value)
         except (ValueError, TypeError, SyntaxError):
@@ -248,6 +254,9 @@ class SweepSpec:
             raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
         if self.mode not in MODES:
             raise ConfigError(f"sweep.mode: expected one of {tuple(MODES)}, got {self.mode!r}")
+        if self.parameter == "element_count" and self.scenario.panel.cols == 0:
+            raise ConfigError("ris.cols: an element_count sweep varies the rows of a panel "
+                              "with at least one column, got 0")
 
 
 _SWEEP_FIELDS = {f"sweep.{f.name}": f for f in fields(SweepSpec) if f.name != "scenario"}

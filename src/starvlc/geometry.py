@@ -105,8 +105,8 @@ class RisPanel:
         # rows = 0 or cols = 0 is allowed and yields an empty (RIS-free) panel
         if self.rows < 0 or self.cols < 0:
             raise ValueError(f"rows and cols must be nonnegative, got {self.rows}x{self.cols}")
-        if self.pitch <= 0.0:
-            raise ValueError(f"pitch must be positive, got {self.pitch}")
+        if not 0.0 < self.pitch < math.inf:  # NaN fails too
+            raise ValueError(f"pitch must be positive and finite, got {self.pitch}")
 
     @property
     def element_count(self) -> int:

@@ -20,6 +20,13 @@ beta.h_reflect and H2 = sum(h_transmit) - beta.h_transmit, so an objective
 F of the u_k has grad F = (dF/dH1) * h_reflect - (dF/dH2) * h_transmit: F and
 its two slopes cost two dot products; `_pga` combines gradients per accepted step.
 
+Each outer iteration makes the surrogate tight again at the new iterate from
+one `terms` call: the auxiliaries are recovered as v_k = sqrt(V_k^2) and
+u_k = (A_k / v_k)^2, the exact SINR, whose rates give the trace's sum-rate,
+and theta_k = sqrt(u_k) / v_k. V_k^2 >= min(1, sigma^2) > 0, so v_k > 0;
+a user keeps its previous theta_k where u_k = 0 (a dead channel) or
+v_k < 1e-30.
+
 Every solver runs with one fixed set of settings, `SETTINGS`; none takes
 settings as an argument.
 """
@@ -32,11 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, Scenario
+# `sum_rate` is unused here, but tracers wrap it (and `rate_pair`) by name in this module.
 from .link import (
     RATE_SINR_SCALE,
     DetectorScheme,
     RatePair,
     effective_channels,
+    rate,
     rate_pair,
     rates_from_gains,
     sum_rate,
@@ -118,7 +127,8 @@ class _ReducedProblem:
         self.ht_sum = float(self.ht.sum())
         self.scheme = scheme
         self.weights = weights
-        self.n = channels.element_count
+        self.channels = channels
+        self.scenario = scenario
 
     def gains(self, beta: np.ndarray) -> tuple[float, float]:
         h1 = self.h_los + float(beta @ self.hr)
@@ -301,68 +311,33 @@ def solve_subproblem(theta, channels: ChannelSet, scenario: Scenario,
     return beta, converged
 
 
-def _recover_auxiliaries(prob: _ReducedProblem, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) satisfying the original SINR constraints tightly at `beta`.
-
-    The norm bound is tight at v = sqrt(V^2) and the bilinear bound at
-    u = (A / V)^2, i.e. the exact SINR of the iterate.
-    """
-    a, v2 = prob.terms(beta)
-    v = np.sqrt(v2)
-    u = np.where(v > 0.0, (a / v) ** 2, 0.0)
-    return u, v
-
-
-def _theta_update(u: np.ndarray, v: np.ndarray, theta_prev: np.ndarray) -> np.ndarray:
-    """theta <- sqrt(u) / v, guarded for degenerate auxiliary values.
-
-    With the recovered auxiliaries this makes the surrogate tight at the
-    current iterate (the equality point of the convex upper bound). A user
-    with a dead channel (u = 0) or vanishing norm bound keeps its previous
-    parameter.
-    """
-    theta = np.empty(2)
-    for k in range(2):
-        if v[k] < 1e-30 or u[k] <= 0.0:
-            theta[k] = theta_prev[k]
-        else:
-            theta[k] = math.sqrt(u[k]) / v[k]
-    return theta
-
-
-def _spca_loop(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
-               beta0: float, weights, minmax: bool) -> SpcaResult:
-    prob = _ReducedProblem(channels, scenario, scheme, weights)
-    objective = prob.min_value_slopes if minmax else prob.value_slopes
+def _spca_loop(prob: _ReducedProblem, objective, beta0: float) -> SpcaResult:
     theta = np.full(2, SETTINGS.theta_init)
     beta = _start(prob, beta0)
     trace: list[TraceEntry] = []
-    prev = None  # (beta, u, v) of the previous outer iteration
     converged = False
     inner_ok = True
-    iterations = 0
     for _m in range(SETTINGS.max_outer_iterations):
+        prev_beta = beta
         beta, value, ok = _pga(prob, objective, theta, beta)
         inner_ok = inner_ok and ok
-        iterations += 1
-        u, v = _recover_auxiliaries(prob, beta)
-        trace.append(TraceEntry(objective=value,
-                                sum_rate=sum_rate(channels, beta, scenario, scheme),
-                                state=SurrogateState(theta=theta.copy(), u=u, v=v)))
-        if prev is not None:
-            delta = max(
-                float(np.max(np.abs(beta - prev[0]))) if prob.n else 0.0,
-                float(np.max(np.abs(u - prev[1]))),
-                float(np.max(np.abs(v - prev[2]))),
-            )
+        a, v2 = prob.terms(beta)
+        v = np.sqrt(v2)
+        u = (a / v) ** 2
+        u1, u2 = u.tolist()
+        trace.append(TraceEntry(objective=value, sum_rate=rate(u1) + rate(u2),
+                                state=SurrogateState(theta=theta, u=u, v=v)))
+        if len(trace) > 1:
+            prev = trace[-2].state
+            delta = max(np.abs(beta - prev_beta).max(initial=0.0),
+                        np.abs(u - prev.u).max(), np.abs(v - prev.v).max())
             if delta < SETTINGS.tolerance:
                 converged = True
                 break
-        prev = (beta.copy(), u.copy(), v.copy())
-        theta = _theta_update(u, v, theta)
-    rates = rate_pair(channels, beta, scenario, scheme)
+        theta = np.where((u <= 0.0) | (v < 1e-30), theta, np.sqrt(u) / v)
+    rates = rate_pair(prob.channels, beta, prob.scenario, prob.scheme)
     return SpcaResult(beta=beta, rates=rates, trace=trace,
-                      converged=converged and inner_ok, iterations=iterations)
+                      converged=converged and inner_ok, iterations=len(trace))
 
 
 def _score(result: SpcaResult, weights, minmax: bool) -> float:
@@ -380,9 +355,11 @@ def _spca_multistart(channels: ChannelSet, scenario: Scenario, scheme: DetectorS
     basin; a single local ascent from the midpoint can settle in the wrong
     one, so the all-reflect and all-transmit starts cover both.
     """
+    prob = _ReducedProblem(channels, scenario, scheme, weights)
+    objective = prob.min_value_slopes if minmax else prob.value_slopes
     best = None
     for beta0 in (SETTINGS.beta_init, 0.0, 1.0):
-        result = _spca_loop(channels, scenario, scheme, beta0, weights, minmax)
+        result = _spca_loop(prob, objective, beta0)
         if best is None or _score(result, weights, minmax) > _score(best, weights, minmax):
             best = result
     return best

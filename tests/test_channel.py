@@ -195,13 +195,16 @@ class TestScenarioValidation:
 
     def test_negative_power_rejected(self):
         sc = reference_scenario()
-        with pytest.raises(ValueError):
-            replace(sc, p1=-0.1)
+        for power in ("p1", "p2"):
+            for bad in (-0.1, math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="powers"):
+                    replace(sc, **{power: bad})
 
     def test_noise_must_be_positive(self):
         sc = reference_scenario()
-        with pytest.raises(ValueError, match="noise variance"):
-            replace(sc, noise_variance=0.0)
+        for bad in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="noise variance"):
+                replace(sc, noise_variance=bad)
 
     def test_front_end_validation(self):
         with pytest.raises(ValueError):
@@ -210,6 +213,16 @@ class TestScenarioValidation:
             OpticalFrontEnd(fov_deg=95.0)
         with pytest.raises(ValueError):
             OpticalFrontEnd(responsivity=-0.7)
+        for field in ("area", "fov_deg", "gain", "responsivity"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError):
+                    OpticalFrontEnd(**{field: bad})
+
+    def test_panel_pitch_rejects_non_finite(self):
+        panel = reference_scenario().panel
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="pitch"):
+                replace(panel, pitch=bad)
 
 
 def one_element_negated(obj, field):

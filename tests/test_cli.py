@@ -74,6 +74,18 @@ class TestKvParsing:
         with pytest.raises(ConfigError):
             parse_kv_file(p)
 
+    def test_key_given_twice_names_both_lines(self, tmp_path, capsys):
+        """The second value is not silently kept: the file is rejected,
+        naming the key and the two lines that give it."""
+        p = tmp_path / "cfg.txt"
+        p.write_text("power.ue1 = 0.1\n# comment\nris.rows = 4\npower.ue1 = 5.0\n")
+        with pytest.raises(ConfigError, match=r"power\.ue1 given twice, on lines 1 and 4"):
+            parse_kv_file(p)
+        assert main(["solve", "--scenario", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "power.ue1" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestScenarioRoundTrip:
     def test_default_round_trip(self, tmp_path):
@@ -470,6 +482,16 @@ class TestCliEntry:
         assert "ue1_x = 6.0" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_element_count_sweep_on_zero_column_panel_exit_code(self, tmp_path, capsys):
+        spec_file = tmp_path / "sweep.txt"
+        spec_file.write_text("ris.cols = 0\nsweep.parameter = element_count\n"
+                             "sweep.start = 0\nsweep.stop = 80\nsweep.steps = 3\n")
+        assert main(["sweep", str(spec_file), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error: ris.cols:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         typo = tmp_path / "typo.txt"

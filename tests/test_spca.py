@@ -52,7 +52,7 @@ def reference_user_values_grads(prob, beta, theta):
         v2 = (g2 * g2 + prob.sigma2, g1 * g1 + prob.sigma2)
         dv2 = (2.0 * g2 * dg2, 2.0 * g1 * dg1)
     values = np.zeros(2)
-    grads = np.zeros((2, prob.n))
+    grads = np.zeros((2, prob.hr.size))
     for k in range(2):
         t = theta[k]
         u = 2.0 * t * a[k] - t * t * v2[k]
@@ -704,6 +704,115 @@ class TestValueFirstTrials:
         assert trials >= 10 * gradients
 
 
+def reference_recover_auxiliaries(prob, beta):
+    """`spca._recover_auxiliaries` before the single-`terms` outer loop, kept
+    verbatim."""
+    a, v2 = prob.terms(beta)
+    v = np.sqrt(v2)
+    u = np.where(v > 0.0, (a / v) ** 2, 0.0)
+    return u, v
+
+
+def reference_theta_update(u, v, theta_prev):
+    """`spca._theta_update` before the single-`terms` outer loop, kept
+    verbatim."""
+    theta = np.empty(2)
+    for k in range(2):
+        if v[k] < 1e-30 or u[k] <= 0.0:
+            theta[k] = theta_prev[k]
+        else:
+            theta[k] = math.sqrt(u[k]) / v[k]
+    return theta
+
+
+def reference_spca_loop(channels, scenario, scheme, beta0, weights, minmax):
+    """`spca._spca_loop` before the single-`terms` outer loop, kept verbatim
+    but for `prob.n`, which is `channels.element_count`: it recovers the
+    auxiliaries, records a fully validated `sum_rate` and updates theta
+    through the two helpers above. The solvers must match it bitwise."""
+    SETTINGS, _start, _pga = spca.SETTINGS, spca._start, spca._pga
+    prob = _ReducedProblem(channels, scenario, scheme, weights)
+    objective = prob.min_value_slopes if minmax else prob.value_slopes
+    theta = np.full(2, SETTINGS.theta_init)
+    beta = _start(prob, beta0)
+    trace = []
+    prev = None  # (beta, u, v) of the previous outer iteration
+    converged = False
+    inner_ok = True
+    iterations = 0
+    for _m in range(SETTINGS.max_outer_iterations):
+        beta, value, ok = _pga(prob, objective, theta, beta)
+        inner_ok = inner_ok and ok
+        iterations += 1
+        u, v = reference_recover_auxiliaries(prob, beta)
+        trace.append(spca.TraceEntry(objective=value,
+                                     sum_rate=sum_rate(channels, beta, scenario, scheme),
+                                     state=spca.SurrogateState(theta=theta.copy(), u=u, v=v)))
+        if prev is not None:
+            delta = max(
+                float(np.max(np.abs(beta - prev[0]))) if channels.element_count else 0.0,
+                float(np.max(np.abs(u - prev[1]))),
+                float(np.max(np.abs(v - prev[2]))),
+            )
+            if delta < SETTINGS.tolerance:
+                converged = True
+                break
+        prev = (beta.copy(), u.copy(), v.copy())
+        theta = reference_theta_update(u, v, theta)
+    rates = rate_pair(channels, beta, scenario, scheme)
+    return spca.SpcaResult(beta=beta, rates=rates, trace=trace,
+                           converged=converged and inner_ok, iterations=iterations)
+
+
+def reference_multistart(loop):
+    """`spca._spca_multistart` before it built one `_ReducedProblem`, running
+    `loop` (the reference's signature) from each start."""
+    def multistart(channels, scenario, scheme, weights=(1.0, 1.0), minmax=False):
+        best = None
+        for beta0 in (spca.SETTINGS.beta_init, 0.0, 1.0):
+            result = loop(channels, scenario, scheme, beta0, weights, minmax)
+            if best is None or (spca._score(result, weights, minmax)
+                                > spca._score(best, weights, minmax)):
+                best = result
+        return best
+    return multistart
+
+
+class TestOuterLoop:
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    @pytest.mark.parametrize("solve", [spca_optimize, mode_switching_optimize,
+                                       time_sharing_optimize, max_min_optimize],
+                             ids=lambda solve: solve.__name__)
+    def test_solvers_match_the_reference_outer_loop(self, solve, scheme, monkeypatch):
+        """The solver returns bitwise the same beta, rates, converged flag,
+        iteration count and trace objectives, thetas and auxiliaries as
+        with the outer loop that recovers the auxiliaries and the trace's
+        sum-rate separately; the trace's sum-rate, now the rates of the
+        recovered SINRs, agrees to 1e-12."""
+        cases = list(value_first_panels(solve))
+        fast = [solve(ch, sc, scheme) for sc, ch in cases]
+        loops = []
+
+        def counted(*args):
+            loops.append(args)
+            return reference_spca_loop(*args)
+        monkeypatch.setattr(spca, "_spca_multistart", reference_multistart(counted))
+        for (sc, ch), result in zip(cases, fast):
+            ref = solve(ch, sc, scheme)
+            assert_bitwise_equal(result, ref)
+            if isinstance(result, spca.TimeSharingResult):
+                assert result.alpha == ref.alpha
+                continue
+            assert len(result.trace) == len(ref.trace) == result.iterations
+            for entry, ref_entry in zip(result.trace, ref.trace):
+                for field in ("theta", "u", "v"):
+                    assert getattr(entry.state, field).tobytes() == \
+                        getattr(ref_entry.state, field).tobytes()
+                assert entry.sum_rate == pytest.approx(ref_entry.sum_rate, rel=1e-12, abs=0.0)
+        starts = 6 if solve is time_sharing_optimize else 3
+        assert len(loops) == starts * len(cases) > 0
+
+
 class TestDeadElements:
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
     def test_solvers_leave_dead_elements_at_one(self, scheme):
@@ -762,16 +871,14 @@ class TestMaxMin:
 
 class TestAuxiliaryRecovery:
     def test_recovered_u_is_exact_sinr(self):
-        from starvlc.spca import _recover_auxiliaries
-
-        sc, ch = small_setup(seed=14)
-        rng = np.random.default_rng(43)
-        for scheme in DetectorScheme:
-            prob = _ReducedProblem(ch, sc, scheme)
-            for _ in range(20):
-                beta = rng.uniform(0, 1, size=ch.element_count)
-                u, v = _recover_auxiliaries(prob, beta)
-                s1, s2 = sinr_from_gains(*effective_channels(ch, beta), sc, scheme)
-                assert u[0] == pytest.approx(s1, rel=1e-10, abs=1e-30)
-                assert u[1] == pytest.approx(s2, rel=1e-10, abs=1e-30)
-                assert np.all(v > 0.0)
+        """The last trace entry's auxiliaries are those of the result: u is
+        the exact SINR pair at its beta and v is positive."""
+        for seed in range(14, 19):
+            sc, ch = small_setup(seed=seed)
+            for scheme in DetectorScheme:
+                result = spca_optimize(ch, sc, scheme)
+                state = result.trace[-1].state
+                s1, s2 = sinr_from_gains(*effective_channels(ch, result.beta), sc, scheme)
+                assert state.u[0] == pytest.approx(s1, rel=1e-10, abs=1e-30)
+                assert state.u[1] == pytest.approx(s2, rel=1e-10, abs=1e-30)
+                assert np.all(state.v > 0.0)
