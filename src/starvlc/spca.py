@@ -14,11 +14,14 @@ With the signal term A_k and interference-norm term V_k defined per scheme
 
     u_k(beta) = max(0, 2 * theta_k * A_k(beta) - theta_k^2 * V_k(beta)^2)
 
-and the reduced objective is sum_k w_k * 0.5 * log2(1 + (e/2pi) * u_k).
-Each u_k depends on beta only through the effective gains H1 = h_los +
-beta.h_reflect and H2 = sum(h_transmit) - beta.h_transmit, so an objective
-F of the u_k has grad F = (dF/dH1) * h_reflect - (dF/dH2) * h_transmit: F and
-its two slopes cost two dot products; `_pga` combines gradients per accepted step.
+and user k's reduced rate is F_k = 0.5 * log2(1 + (e/2pi) * u_k). Each
+variant passes `_pga` its own objective of the F_k: energy splitting (and
+mode switching, which rounds its optimum) F_1 + F_2, time-sharing each F_k
+alone, max-min min(F_1, F_2). Each u_k depends on beta only through the
+effective gains H1 = h_los + beta.h_reflect and H2 = sum(h_transmit) -
+beta.h_transmit, so an objective F of the u_k has grad F = (dF/dH1) *
+h_reflect - (dF/dH2) * h_transmit: F and its two slopes cost two dot
+products; `_pga` combines gradients per accepted step.
 
 Each outer iteration makes the surrogate tight again at the new iterate from
 one `terms` call: the auxiliaries are recovered as v_k = sqrt(V_k^2) and
@@ -114,8 +117,7 @@ class _ReducedProblem:
     stays cheap.
     """
 
-    def __init__(self, channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
-                 weights=(1.0, 1.0)):
+    def __init__(self, channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme):
         rho = scenario.front_end.responsivity
         self.a1 = rho * scenario.p1
         self.a2 = rho * scenario.p2
@@ -126,7 +128,6 @@ class _ReducedProblem:
         self.ht = channels.h_transmit
         self.ht_sum = float(self.ht.sum())
         self.scheme = scheme
-        self.weights = weights
         self.channels = channels
         self.scenario = scenario
 
@@ -167,10 +168,9 @@ class _ReducedProblem:
         return _rate_and_slopes(u1, du1), _rate_and_slopes(u2, du2)
 
     def value_slopes(self, beta: np.ndarray, theta: np.ndarray) -> tuple[float, float, float]:
-        """Weighted objective and its slopes (dF/dg1, dF/dg2)."""
+        """Sum objective and its slopes (dF/dg1, dF/dg2)."""
         (f1, x1, y1), (f2, x2, y2) = self.user_values(beta, theta)
-        w1, w2 = self.weights
-        return w1 * f1 + w2 * f2, w1 * x1 + w2 * x2, w1 * y1 + w2 * y2
+        return f1 + f2, x1 + x2, y1 + y2
 
     def min_value_slopes(self, beta: np.ndarray, theta: np.ndarray) -> tuple[float, float, float]:
         """Pointwise-min objective and a subgradient's slopes (max-min fairness)."""
@@ -340,27 +340,19 @@ def _spca_loop(prob: _ReducedProblem, objective, beta0: float) -> SpcaResult:
                       converged=converged and inner_ok, iterations=len(trace))
 
 
-def _score(result: SpcaResult, weights, minmax: bool) -> float:
-    if minmax:
-        return min(result.rates.r1, result.rates.r2)
-    return weights[0] * result.rates.r1 + weights[1] * result.rates.r2
-
-
-def _spca_multistart(channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme,
-                     weights=(1.0, 1.0), minmax: bool = False) -> SpcaResult:
-    """Run the outer loop from the midpoint start plus the two vertex
-    starts (each 1 at dead elements) and keep the best exact objective.
+def _spca_multistart(prob: _ReducedProblem, objective, score) -> SpcaResult:
+    """Run the outer loop on `objective` (as `_pga` takes it) from the
+    midpoint start plus the two vertex starts (each 1 at dead elements) and
+    keep the first result with the highest `score` of its exact rates.
 
     The sum-rate landscape splits into a serve-user-1 and a serve-user-2
     basin; a single local ascent from the midpoint can settle in the wrong
     one, so the all-reflect and all-transmit starts cover both.
     """
-    prob = _ReducedProblem(channels, scenario, scheme, weights)
-    objective = prob.min_value_slopes if minmax else prob.value_slopes
     best = None
     for beta0 in (SETTINGS.beta_init, 0.0, 1.0):
         result = _spca_loop(prob, objective, beta0)
-        if best is None or _score(result, weights, minmax) > _score(best, weights, minmax):
+        if best is None or score(result.rates) > score(best.rates):
             best = result
     return best
 
@@ -368,7 +360,8 @@ def _spca_multistart(channels: ChannelSet, scenario: Scenario, scheme: DetectorS
 def spca_optimize(channels: ChannelSet, scenario: Scenario,
                   scheme: DetectorScheme) -> SpcaResult:
     """Energy-splitting sum-rate maximization (continuous coefficients)."""
-    return _spca_multistart(channels, scenario, scheme)
+    prob = _ReducedProblem(channels, scenario, scheme)
+    return _spca_multistart(prob, prob.value_slopes, lambda r: r.sum)
 
 
 def mode_switching_optimize(channels: ChannelSet, scenario: Scenario,
@@ -415,8 +408,11 @@ def time_sharing_optimize(channels: ChannelSet, scenario: Scenario,
     optimum sits at an alpha endpoint: it is the larger of the two
     single-user optima. Ties go to alpha = 1.
     """
-    best_r1 = _spca_multistart(channels, scenario, scheme, weights=(1.0, 0.0))
-    best_r2 = _spca_multistart(channels, scenario, scheme, weights=(0.0, 1.0))
+    prob = _ReducedProblem(channels, scenario, scheme)
+    best_r1 = _spca_multistart(prob, lambda beta, theta: prob.user_values(beta, theta)[0],
+                               lambda r: r.r1)
+    best_r2 = _spca_multistart(prob, lambda beta, theta: prob.user_values(beta, theta)[1],
+                               lambda r: r.r2)
     if best_r1.rates.r1 >= best_r2.rates.r2:
         win, alpha = best_r1, 1.0
     else:
@@ -429,4 +425,5 @@ def time_sharing_optimize(channels: ChannelSet, scenario: Scenario,
 def max_min_optimize(channels: ChannelSet, scenario: Scenario,
                      scheme: DetectorScheme) -> SpcaResult:
     """Maximize min(R1, R2) over the box (max-min fairness benchmark)."""
-    return _spca_multistart(channels, scenario, scheme, minmax=True)
+    prob = _ReducedProblem(channels, scenario, scheme)
+    return _spca_multistart(prob, prob.min_value_slopes, lambda r: min(r.r1, r.r2))

@@ -1,0 +1,35 @@
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("output_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_repeats_and_sees_a_last_bit(monkeypatch):
+    """The digest of a workload's small batch repeats run to run, and moving
+    one op's last trace objective by one ulp changes it."""
+    tool = load_tool()
+    ops = tool.workloads.build_ops("fairness-power", 1, small=True)
+    first = tool.workload_digest(ops)
+    assert len(first) == 64 and tool.workload_digest(ops) == first
+    target = next(op for op in ops if op.kind != "ts")  # time-sharing keeps no trace
+    run = tool.workloads.run_library
+
+    def nudged(op, api):
+        channels, result = run(op, api)
+        if op is target:
+            last = result.trace[-1]
+            last = replace(last, objective=float(np.nextafter(last.objective, np.inf)))
+            result = replace(result, trace=[*result.trace[:-1], last])
+        return channels, result
+    monkeypatch.setattr(tool.workloads, "run_library", nudged)
+    assert tool.workload_digest(ops) != first

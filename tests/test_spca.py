@@ -65,11 +65,24 @@ def reference_user_values_grads(prob, beta, theta):
 
 
 def reference_value_grad(prob, beta, theta):
-    """`_ReducedProblem.value_slopes` and its gradient from the per-user
-    gradients."""
+    """`_ReducedProblem.value_slopes` (the sum of the users' values) and its
+    gradient from the per-user gradients."""
     values, grads = reference_user_values_grads(prob, beta, theta)
-    weights = np.asarray(prob.weights, dtype=float)
-    return float(weights @ values), weights @ grads
+    return float(values[0] + values[1]), grads[0] + grads[1]
+
+
+def reference_user_value_grad(k):
+    """User k's own value and gradient from the per-user reference: the
+    objective time-sharing passes for user k."""
+    def ref(prob, beta, theta):
+        values, grads = reference_user_values_grads(prob, beta, theta)
+        return float(values[k]), grads[k]
+    return ref
+
+
+def user_objective(prob, k):
+    """User k's own (value, dF/dg1, dF/dg2), as time-sharing passes it."""
+    return lambda beta, theta: prob.user_values(beta, theta)[k]
 
 
 def reference_min_value_grad(prob, beta, theta):
@@ -82,9 +95,12 @@ def reference_min_value_grad(prob, beta, theta):
     return float(values[k]), grads[k]
 
 
-def assert_matches_reference(prob, beta, theta):
-    for objective, ref in ((prob.value_slopes, reference_value_grad),
-                           (prob.min_value_slopes, reference_min_value_grad)):
+def assert_matches_reference(prob, beta, theta, objective=None, ref=None):
+    """The min objective, and `objective` (default the sum), match their
+    per-user references in value and gradient."""
+    pairs = ((objective or prob.value_slopes, ref or reference_value_grad),
+             (prob.min_value_slopes, reference_min_value_grad))
+    for objective, ref in pairs:
         f, x, y = objective(beta, theta)
         g = prob.gradient(x, y)
         f_ref, g_ref = ref(prob, beta, theta)
@@ -159,17 +175,22 @@ class TestReducedObjective:
                 assert fm >= 0.5 * (fa + fb) - 1e-10
             assert checked >= 100
 
-    @pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("user", [None, 0, 1], ids=["sum", "user1", "user2"])
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
-    def test_value_grad_matches_reference(self, scheme, weights):
-        """Values and gradients from the two scalar derivatives match the
-        per-user vectorised reference on seeded room panels (with and
-        without dead elements), near the tight surrogate parameters and
-        with one user's bound clamped at 0 (theta past 2 A / V^2)."""
+    def test_value_grad_matches_reference(self, scheme, user):
+        """Values and gradients from the two scalar derivatives (of the sum,
+        or of one user's own value, and of the min) match the per-user
+        vectorised reference on seeded room panels (with and without dead
+        elements), near the tight surrogate parameters and with one user's
+        bound clamped at 0 (theta past 2 A / V^2)."""
         rng = np.random.default_rng(61)
         clamped = 0
         for sc, ch in [*room_panels(1, True), *room_panels(1, False)]:
-            prob = _ReducedProblem(ch, sc, scheme, weights)
+            prob = _ReducedProblem(ch, sc, scheme)
+            if user is None:
+                objective, ref = prob.value_slopes, reference_value_grad
+            else:
+                objective, ref = user_objective(prob, user), reference_user_value_grad(user)
             for k in range(6):
                 beta = rng.uniform(0.0, 1.0, size=ch.element_count)
                 a, v2 = prob.terms(beta)
@@ -179,7 +200,7 @@ class TestReducedObjective:
                     clamped += 1
                     values, _ = reference_user_values_grads(prob, beta, theta)
                     assert values[k - 4] == 0.0
-                assert_matches_reference(prob, beta, theta)
+                assert_matches_reference(prob, beta, theta, objective, ref)
         assert clamped == 16
 
     def test_min_value_grad_tie_matches_reference(self):
@@ -202,27 +223,43 @@ class TestReducedObjective:
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
     def test_solvers_match_the_reference_gradient(self, scheme, monkeypatch):
         """ES, time-sharing and MS return bitwise the same beta and rates
-        when the reduced objective and its gradient are the per-user
-        reference, on seeded room panels with dead elements. The reference
-        objective hands its point on as the slopes, so the gradient `_pga`
-        forms from them is the reference's at that point."""
+        when the reduced objectives and their gradient are the per-user
+        reference, on seeded room panels with dead elements. ES and MS
+        evaluate the sum (`value_slopes`), time-sharing each user's own
+        value (`user_values`); each solver is checked to have run through
+        its reference. A reference objective hands its point and its name
+        on as the slopes, so the gradient `_pga` forms from them is that
+        reference's at that point."""
         panels = list(room_panels(2, dead_elements=True))
         solvers = (spca_optimize, time_sharing_optimize, mode_switching_optimize)
         fast = [solve(ch, sc, scheme) for sc, ch in panels for solve in solvers]
         calls = Counter()
+        refs = {"sum": reference_value_grad, 0: reference_user_value_grad(0),
+                1: reference_user_value_grad(1)}
 
         def reference_objective(prob, beta, theta):
-            calls["objective"] += 1
-            return reference_value_grad(prob, beta, theta)[0], beta, theta
+            calls["value_slopes"] += 1
+            return refs["sum"](prob, beta, theta)[0], beta, (theta, "sum")
 
-        def reference_gradient(prob, beta, theta):
+        def reference_user_values(prob, beta, theta):
+            calls["user_values"] += 1
+            return tuple((refs[k](prob, beta, theta)[0], beta, (theta, k)) for k in range(2))
+
+        def reference_gradient(prob, beta, slope):
             calls["gradient"] += 1
-            return reference_value_grad(prob, beta, theta)[1]
+            theta, name = slope
+            return refs[name](prob, beta, theta)[1]
 
         monkeypatch.setattr(_ReducedProblem, "value_slopes", reference_objective)
+        monkeypatch.setattr(_ReducedProblem, "user_values", reference_user_values)
         monkeypatch.setattr(_ReducedProblem, "gradient", reference_gradient)
-        slow = [solve(ch, sc, scheme) for sc, ch in panels for solve in solvers]
-        assert calls["objective"] > 0 and calls["gradient"] > 0
+        slow = []
+        for sc, ch in panels:
+            for solve in solvers:
+                calls.clear()
+                slow.append(solve(ch, sc, scheme))
+                objective = "user_values" if solve is time_sharing_optimize else "value_slopes"
+                assert calls[objective] > 0 and calls["gradient"] > 0
         for a, b in zip(fast, slow):
             np.testing.assert_array_equal(a.beta, b.beta)
             assert a.rates == b.rates
@@ -257,11 +294,12 @@ class TestReducedObjective:
             for b in (0.0, 0.5, 1.0):
                 beta = np.full(ch.element_count, b)
                 for theta in np.array([(t1, t2) for t1 in thetas for t2 in thetas]):
-                    for ref in (reference_value_grad, reference_min_value_grad):
+                    for ref in (reference_value_grad, reference_user_value_grad(0),
+                                reference_user_value_grad(1), reference_min_value_grad):
                         f, grad = ref(prob, beta, theta)
                         assert math.isfinite(f) and np.all(np.isfinite(grad))
-                    f, x, y = prob.value_slopes(beta, theta)
-                    assert math.isfinite(f) and np.all(np.isfinite(prob.gradient(x, y)))
+                    for f, x, y in (prob.value_slopes(beta, theta), *prob.user_values(beta, theta)):
+                        assert math.isfinite(f) and np.all(np.isfinite(prob.gradient(x, y)))
 
 
 class TestSubproblem:
@@ -287,7 +325,41 @@ class TestSubproblem:
             assert fstar >= reduced_objective(trial, theta, ch, sc, DetectorScheme.SIC)[0] - 1e-8
 
 
+@st.composite
+def grid_panels(draw):
+    """A `ChannelSet` of 1 to 12 elements with every gain a multiple (0 to
+    7, or a multiple of an earlier element's) of 10 * 2^-24, dead elements
+    (both gains 0) and parallel ones among them, and powers of 1 to 100 mW."""
+    g = 10.0 * 2.0 ** -24
+    pairs = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["free", "dead", "parallel"]))
+        if kind == "dead":
+            pairs.append((0, 0))
+        elif kind == "parallel" and pairs:
+            base, m = draw(st.sampled_from(pairs)), draw(st.integers(1, 3))
+            pairs.append((m * base[0], m * base[1]))
+        else:
+            pairs.append((draw(st.integers(0, 7)), draw(st.integers(0, 7))))
+    hr, ht = (g * np.array(gains, dtype=float) for gains in zip(*pairs))
+    ch = ChannelSet(h_los=g * draw(st.integers(0, 7)), h_reflect=hr, h_transmit=ht)
+    p1, p2 = draw(st.floats(1e-3, 1e-1)), draw(st.floats(1e-3, 1e-1))
+    return ch, replace(reference_scenario(), p1=p1, p2=p2)
+
+
 class TestSpca:
+    @settings(max_examples=200, deadline=None)
+    @given(grid_panels())
+    def test_es_and_ms_never_beat_the_exact_optimum(self, case):
+        """ES and MS sum rates are at most the exact optimum (+1e-9
+        relative) under both schemes. The reverse bound does not hold on
+        such panels: ES can stop short of it (CHANGES `FOUND`)."""
+        ch, sc = case
+        for scheme in DetectorScheme:
+            exact = vertex_enumerate(ch, sc, scheme).best_rates.sum
+            for solve in (spca_optimize, mode_switching_optimize):
+                assert solve(ch, sc, scheme).rates.sum <= exact * (1.0 + 1e-9)
+
     @pytest.mark.parametrize("scheme", [DetectorScheme.SUD, DetectorScheme.SIC])
     def test_matches_vertex_oracle_small(self, scheme):
         rng = np.random.default_rng(31)
@@ -490,7 +562,9 @@ class TestModeSwitching:
     @pytest.mark.parametrize("rows, cols", [(4, 4), (20, 16)])
     def test_rounding_makes_no_rate_calls(self, rows, cols, monkeypatch):
         """MS costs what ES costs plus one `rate_pair` for the final rates,
-        however many coordinates it rounds."""
+        however many coordinates it rounds: it scores each coordinate's two
+        candidates with one `rates_from_gains` call each, from the carried
+        gains, and makes no full rate evaluation per candidate."""
         calls = Counter()
 
         def counting(name):
@@ -501,7 +575,7 @@ class TestModeSwitching:
                 return fn(*args, **kwargs)
             return counted
 
-        for name in ("sum_rate", "rate_pair"):
+        for name in ("rates_from_gains", "rate_pair"):
             monkeypatch.setattr(spca, name, counting(name))
         es_start = es_with_fractional_dead_elements(monkeypatch)
         sc = random_scenario(np.random.default_rng(0), rows, cols)
@@ -512,8 +586,9 @@ class TestModeSwitching:
             es_calls = calls.copy()
             calls.clear()
             mode_switching_optimize(ch, sc, scheme)
-            assert np.sum(fractional(es.beta)) > 0
-            assert calls["sum_rate"] <= es_calls["sum_rate"]
+            rounded = int(np.sum(fractional(es.beta)))
+            assert rounded > 0
+            assert calls["rates_from_gains"] == es_calls["rates_from_gains"] + 2 * rounded
             assert calls["rate_pair"] == es_calls["rate_pair"] + 1
 
     @pytest.mark.parametrize("dead_elements", [False, True])
@@ -613,7 +688,9 @@ def count_inner_work(monkeypatch):
     solve. Trials are the objective calls after the start's. A solve
     projects once at the start, once per trial and once per iteration's
     stationarity test, so its iterations are projections minus objective
-    calls; every iteration but a converged solve's last moves beta."""
+    calls; every iteration but a converged solve's last moves beta. The
+    objective is counted as `_pga` receives it, so each solver's own
+    objective (the sum, one user's value or the min) counts alike."""
     counts = Counter()
 
     def counting(owner, name):
@@ -625,15 +702,18 @@ def count_inner_work(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     counting(spca, "_project")
-    for name in ("value_slopes", "min_value_slopes", "gradient"):
-        counting(_ReducedProblem, name)
+    counting(_ReducedProblem, "gradient")
     pga = spca._pga
     solves = []
 
-    def counted_pga(*args):
+    def counted_pga(prob, objective, *args):
         counts.clear()
-        beta, f, converged = pga(*args)
-        values = counts["value_slopes"] + counts["min_value_slopes"]
+
+        def counted_objective(*point):
+            counts["objective"] += 1
+            return objective(*point)
+        beta, f, converged = pga(prob, counted_objective, *args)
+        values = counts["objective"]
         iterations = counts["_project"] - values
         solves.append((values - 1, iterations - int(converged), counts["gradient"]))
         return beta, f, converged
@@ -692,7 +772,9 @@ class TestValueFirstTrials:
         for sc, ch in room_panels(1, dead_elements=True):
             if ch.element_count <= 80:
                 for solve in (spca_optimize, time_sharing_optimize, max_min_optimize):
+                    before = len(solves)
                     solve(ch, sc, DetectorScheme.SIC)
+                    assert len(solves) > before
         sc = reference_scenario()
         before = len(solves)
         max_min_optimize(channel_set(sc), sc, DetectorScheme.SIC)
@@ -725,14 +807,15 @@ def reference_theta_update(u, v, theta_prev):
     return theta
 
 
-def reference_spca_loop(channels, scenario, scheme, beta0, weights, minmax):
+def reference_spca_loop(prob, objective, beta0):
     """`spca._spca_loop` before the single-`terms` outer loop, kept verbatim
-    but for `prob.n`, which is `channels.element_count`: it recovers the
-    auxiliaries, records a fully validated `sum_rate` and updates theta
-    through the two helpers above. The solvers must match it bitwise."""
+    but for `prob.n`, which is `channels.element_count`, and for taking the
+    problem and objective (it built them from the solver's `weights` and
+    `minmax`): it recovers the auxiliaries, records a fully validated
+    `sum_rate` and updates theta through the two helpers above. The solvers
+    must match it bitwise."""
     SETTINGS, _start, _pga = spca.SETTINGS, spca._start, spca._pga
-    prob = _ReducedProblem(channels, scenario, scheme, weights)
-    objective = prob.min_value_slopes if minmax else prob.value_slopes
+    channels, scenario, scheme = prob.channels, prob.scenario, prob.scheme
     theta = np.full(2, SETTINGS.theta_init)
     beta = _start(prob, beta0)
     trace = []
@@ -764,20 +847,6 @@ def reference_spca_loop(channels, scenario, scheme, beta0, weights, minmax):
                            converged=converged and inner_ok, iterations=iterations)
 
 
-def reference_multistart(loop):
-    """`spca._spca_multistart` before it built one `_ReducedProblem`, running
-    `loop` (the reference's signature) from each start."""
-    def multistart(channels, scenario, scheme, weights=(1.0, 1.0), minmax=False):
-        best = None
-        for beta0 in (spca.SETTINGS.beta_init, 0.0, 1.0):
-            result = loop(channels, scenario, scheme, beta0, weights, minmax)
-            if best is None or (spca._score(result, weights, minmax)
-                                > spca._score(best, weights, minmax)):
-                best = result
-        return best
-    return multistart
-
-
 class TestOuterLoop:
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
     @pytest.mark.parametrize("solve", [spca_optimize, mode_switching_optimize,
@@ -796,7 +865,7 @@ class TestOuterLoop:
         def counted(*args):
             loops.append(args)
             return reference_spca_loop(*args)
-        monkeypatch.setattr(spca, "_spca_multistart", reference_multistart(counted))
+        monkeypatch.setattr(spca, "_spca_loop", counted)
         for (sc, ch), result in zip(cases, fast):
             ref = solve(ch, sc, scheme)
             assert_bitwise_equal(result, ref)
@@ -811,6 +880,106 @@ class TestOuterLoop:
                 assert entry.sum_rate == pytest.approx(ref_entry.sum_rate, rel=1e-12, abs=0.0)
         starts = 6 if solve is time_sharing_optimize else 3
         assert len(loops) == starts * len(cases) > 0
+
+
+class WeightedProblem(_ReducedProblem):
+    """`_ReducedProblem` with the `weights` it took before each solver passed
+    its own objective; `value_slopes` is its weighted combine, kept
+    verbatim."""
+
+    def __init__(self, channels, scenario, scheme, weights=(1.0, 1.0)):
+        super().__init__(channels, scenario, scheme)
+        self.weights = weights
+
+    def value_slopes(self, beta, theta):
+        """Weighted objective and its slopes (dF/dg1, dF/dg2)."""
+        (f1, x1, y1), (f2, x2, y2) = self.user_values(beta, theta)
+        w1, w2 = self.weights
+        return w1 * f1 + w2 * f2, w1 * x1 + w2 * x2, w1 * y1 + w2 * y2
+
+
+def reference_score(result, weights, minmax):
+    """`spca._score` before each solver passed its own score, kept verbatim."""
+    if minmax:
+        return min(result.rates.r1, result.rates.r2)
+    return weights[0] * result.rates.r1 + weights[1] * result.rates.r2
+
+
+def reference_weighted_multistart(channels, scenario, scheme, weights=(1.0, 1.0),
+                                  minmax=False):
+    """`spca._spca_multistart` with its `weights` and `minmax` knobs, kept
+    verbatim but for building a `WeightedProblem`."""
+    prob = WeightedProblem(channels, scenario, scheme, weights)
+    objective = prob.min_value_slopes if minmax else prob.value_slopes
+    best = None
+    for beta0 in (spca.SETTINGS.beta_init, 0.0, 1.0):
+        result = spca._spca_loop(prob, objective, beta0)
+        if best is None or (reference_score(result, weights, minmax)
+                            > reference_score(best, weights, minmax)):
+            best = result
+    return best
+
+
+def reference_time_sharing(channels, scenario, scheme, multistart):
+    """`spca.time_sharing_optimize` on the weighted multistart, kept verbatim."""
+    best_r1 = multistart(channels, scenario, scheme, weights=(1.0, 0.0))
+    best_r2 = multistart(channels, scenario, scheme, weights=(0.0, 1.0))
+    if best_r1.rates.r1 >= best_r2.rates.r2:
+        win, alpha = best_r1, 1.0
+    else:
+        win, alpha = best_r2, 0.0
+    return spca.TimeSharingResult(rates=win.rates, alpha=alpha, beta=win.beta,
+                                  converged=best_r1.converged and best_r2.converged,
+                                  iterations=best_r1.iterations + best_r2.iterations)
+
+
+def reference_solver(solve, multistart, monkeypatch):
+    """`solve` as it was on the weighted multistart `multistart`."""
+    if solve is spca_optimize:
+        return multistart
+    if solve is max_min_optimize:
+        return lambda ch, sc, scheme: multistart(ch, sc, scheme, minmax=True)
+    if solve is time_sharing_optimize:
+        return lambda ch, sc, scheme: reference_time_sharing(ch, sc, scheme, multistart)
+    monkeypatch.setattr(spca, "spca_optimize", multistart)  # MS rounds the ES optimum
+    return solve
+
+
+def float_bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestMultistart:
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    @pytest.mark.parametrize("solve", [spca_optimize, mode_switching_optimize,
+                                       time_sharing_optimize, max_min_optimize],
+                             ids=lambda solve: solve.__name__)
+    def test_solvers_match_the_weighted_reference(self, solve, scheme, monkeypatch):
+        """Each solver passing its own objective and score returns bitwise
+        what the multistart with the `weights` and `minmax` knobs gave:
+        beta, rates, flag, iterations, alpha and every trace entry's
+        objective, sum-rate, theta and auxiliaries."""
+        cases = list(value_first_panels(solve))
+        fast = [solve(ch, sc, scheme) for sc, ch in cases]
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return reference_weighted_multistart(*args, **kwargs)
+        reference = reference_solver(solve, counted, monkeypatch)
+        for (sc, ch), result in zip(cases, fast):
+            ref = reference(ch, sc, scheme)
+            assert_bitwise_equal(result, ref)
+            assert getattr(result, "alpha", None) == getattr(ref, "alpha", None)
+            trace, ref_trace = getattr(result, "trace", []), getattr(ref, "trace", [])
+            assert float_bytes([e.sum_rate for e in trace]) == \
+                float_bytes([e.sum_rate for e in ref_trace])
+            for entry, ref_entry in zip(trace, ref_trace):
+                for field in ("theta", "u", "v"):
+                    assert getattr(entry.state, field).tobytes() == \
+                        getattr(ref_entry.state, field).tobytes()
+        multistarts = 2 if solve is time_sharing_optimize else 1
+        assert len(runs) == multistarts * len(cases) > 0
 
 
 class TestDeadElements:
@@ -848,6 +1017,26 @@ class TestTimeSharing:
 
             rp = rate_pair(ch, beta, sc, DetectorScheme.SUD)
             assert won >= max(rp.r1, rp.r2) - 1e-6
+
+
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_winner_is_the_better_vertex_single_user_rate(self, scheme):
+        """The winning rate is exactly max(R1 at beta = 1, R2 at beta = 0),
+        alpha picks that argmax (ties to 1) and beta is binary: on seeded
+        room panels with dead elements and on the default scenario over
+        the power grid of acceptance criterion 5."""
+        powers = np.linspace(0.001, 0.1, 25)
+        grid = (replace(reference_scenario(), p1=float(p), p2=float(p)) for p in powers)
+        cases = [*room_panels(2, dead_elements=True), *((sc, channel_set(sc)) for sc in grid)]
+        for sc, ch in cases:
+            n = ch.element_count
+            r1 = rate_pair(ch, np.ones(n), sc, scheme).r1
+            r2 = rate_pair(ch, np.zeros(n), sc, scheme).r2
+            res = time_sharing_optimize(ch, sc, scheme)
+            assert res.alpha == (1.0 if r1 >= r2 else 0.0)
+            assert (res.rates.r1 if res.alpha == 1.0 else res.rates.r2) == max(r1, r2)
+            assert set(np.unique(res.beta)) <= {0.0, 1.0}
+        assert len(cases) == 33
 
 
 class TestMaxMin:
