@@ -438,14 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_or_default(path) -> Scenario:
-    return load_scenario(path) if path else default_scenario()
+def _single_scenario(args):
+    """(scenario, channels, scheme) of a single-scenario command: the
+    `--scenario` file (or the built-in setup), its channel set and `--scheme`."""
+    scenario = load_scenario(args.scenario) if args.scenario else default_scenario()
+    return scenario, _channels(scenario), DetectorScheme(args.scheme)
 
 
 def _cmd_solve(args) -> int:
-    scenario = _load_or_default(args.scenario)
-    ch = _channels(scenario)
-    scheme = DetectorScheme(args.scheme)
+    scenario, ch, scheme = _single_scenario(args)
     result = _solve(ch, scenario, scheme, args.mode)
     rates, iters, converged = result.rates, result.iterations, result.converged
     out = Path(args.out)
@@ -471,9 +472,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    scenario = _load_or_default(args.scenario)
-    ch = _channels(scenario)
-    report = vertex_enumerate(ch, scenario, DetectorScheme(args.scheme))
+    scenario, ch, scheme = _single_scenario(args)
+    report = vertex_enumerate(ch, scenario, scheme)
     best = report.best_rates
     _write_csv(Path(args.out) / "oracle.csv",
                [["sum_rate", "r1", "r2", "evaluations", "runtime_s"],
@@ -487,9 +487,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_scan(args) -> int:
     if args.grid_points < 3:
         raise ConfigError(f"--grid-points must be at least 3, got {args.grid_points}")
-    scenario = _load_or_default(args.scenario)
-    ch = _channels(scenario)
-    scheme = DetectorScheme(args.scheme)
+    scenario, ch, scheme = _single_scenario(args)
     result = spca_optimize(ch, scenario, scheme)
     values, argmax = coordinate_scan(ch, scenario, scheme, result.beta,
                                      grid_points=args.grid_points)

@@ -96,5 +96,6 @@ def rate_pair(channels: ChannelSet, beta, scenario: Scenario, scheme: DetectorSc
 
 
 def sum_rate(channels: ChannelSet, beta, scenario: Scenario, scheme: DetectorScheme) -> float:
-    """Sum-rate shortcut used by the optimizers and oracles."""
+    """Sum-rate shortcut for callers holding a `beta`. No solver or oracle
+    calls it; `spca` imports it by name so tracers can wrap it."""
     return rate_pair(channels, beta, scenario, scheme).sum

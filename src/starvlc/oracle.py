@@ -11,7 +11,7 @@ import numpy as np
 
 from ._kernels import enumerate_vertices
 from .channel import ChannelSet, Scenario
-from .link import DetectorScheme, RatePair, rate_pair, sum_rate
+from .link import DetectorScheme, RatePair, effective_channels, rate_pair, rates_from_gains
 
 
 @dataclass(frozen=True)
@@ -55,21 +55,20 @@ def coordinate_scan(channels: ChannelSet, scenario: Scenario, scheme: DetectorSc
     """Per-coordinate sum-rate scans around a reference point.
 
     For each coordinate i, all others are held at `beta_star` and the exact
-    sum-rate is evaluated on a uniform grid over [0, 1]. Returns
-    (values, argmax) where `values` has shape (N, grid_points) and `argmax`
-    holds the grid value maximizing each coordinate's scan.
+    sum-rate is evaluated on a uniform grid over [0, 1]. Setting beta[i] to b
+    moves the gains (H1, H2) of `beta_star` by (b - beta_star[i]) times the
+    element's generator (h_reflect[i], -h_transmit[i]), so a scan costs
+    O(N * grid_points). Returns (values, argmax) where `values` has shape
+    (N, grid_points) and `argmax` holds the grid value maximizing each
+    coordinate's scan.
     """
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
-    beta_star = np.asarray(beta_star, dtype=float)
-    n = channels.element_count
+    h1, h2 = effective_channels(channels, beta_star)
     grid = np.linspace(0.0, 1.0, grid_points)
-    values = np.empty((n, grid_points))
-    argmax = np.empty(n)
-    for i in range(n):
-        beta = beta_star.copy()
-        for j, b in enumerate(grid):
-            beta[i] = b
-            values[i, j] = sum_rate(channels, beta, scenario, scheme)
-        argmax[i] = grid[int(np.argmax(values[i]))]
-    return values, argmax
+    moves = grid - np.asarray(beta_star, dtype=float)[:, None]
+    gains = zip((h1 + moves * channels.h_reflect[:, None]).ravel().tolist(),
+                (h2 - moves * channels.h_transmit[:, None]).ravel().tolist())
+    values = np.array([rates_from_gains(g1, g2, scenario, scheme).sum for g1, g2 in gains])
+    values = values.reshape(moves.shape)
+    return values, grid[np.argmax(values, axis=1)]

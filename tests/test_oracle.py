@@ -1,9 +1,11 @@
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import starvlc.oracle
 from starvlc import (
     ChannelSet,
     DetectorScheme,
@@ -88,6 +90,25 @@ class TestVertexEnumerate:
         assert set(np.unique(report.best_beta)) <= {0.0, 1.0}
 
 
+def small_panel():
+    """A seeded 1 x 3 room panel and a random `beta_star`."""
+    rng = np.random.default_rng(10)
+    sc = random_scenario(rng, rows=1, cols=3)
+    return sc, channel_set(sc), rng.uniform(0, 1, size=3)
+
+
+def dead_third_panel():
+    """A seeded 8 x 10 room panel with every third element dead, and a
+    fractional `beta_star`."""
+    rng = np.random.default_rng(11)
+    sc = random_scenario(rng, rows=8, cols=10)
+    ch = channel_set(sc)
+    hr, ht = ch.h_reflect.copy(), ch.h_transmit.copy()
+    hr[::3] = ht[::3] = 0.0
+    ch = ChannelSet(h_los=ch.h_los, h_reflect=hr, h_transmit=ht)
+    return sc, ch, rng.uniform(0.05, 0.95, size=80)
+
+
 class TestCoordinateScan:
     def test_shapes_and_grid(self):
         rng = np.random.default_rng(9)
@@ -99,19 +120,37 @@ class TestCoordinateScan:
         assert argmax.shape == (4,)
         assert np.all((argmax >= 0.0) & (argmax <= 1.0))
 
-    def test_matches_direct_evaluation(self):
-        rng = np.random.default_rng(10)
-        sc = random_scenario(rng, rows=1, cols=3)
-        ch = channel_set(sc)
-        beta_star = rng.uniform(0, 1, size=3)
-        values, _ = coordinate_scan(ch, sc, DetectorScheme.SUD, beta_star, grid_points=5)
-        grid = np.linspace(0, 1, 5)
-        for i in range(3):
+    @pytest.mark.parametrize("panel, scheme, grid_points", [
+        (small_panel, DetectorScheme.SUD, 5),
+        (dead_third_panel, DetectorScheme.SUD, 11),
+        (dead_third_panel, DetectorScheme.SIC, 11),
+    ])
+    def test_matches_direct_evaluation(self, panel, scheme, grid_points):
+        sc, ch, beta_star = panel()
+        values, _ = coordinate_scan(ch, sc, scheme, beta_star, grid_points=grid_points)
+        grid = np.linspace(0, 1, grid_points)
+        for i in range(ch.element_count):
             for j, b in enumerate(grid):
                 beta = beta_star.copy()
                 beta[i] = b
-                assert values[i, j] == pytest.approx(
-                    sum_rate(ch, beta, sc, DetectorScheme.SUD), rel=1e-14)
+                assert values[i, j] == pytest.approx(sum_rate(ch, beta, sc, scheme), rel=1e-14)
+        dead = (ch.h_reflect == 0.0) & (ch.h_transmit == 0.0)
+        assert np.all(np.ptp(values[dead], axis=1) == 0.0)
+
+    def test_scan_works_from_the_gains(self, monkeypatch):
+        """One `effective_channels` call at `beta_star`, then one
+        `rates_from_gains` call per grid value and no `rate_pair` call."""
+        calls = Counter()
+        for name in ("rates_from_gains", "effective_channels", "rate_pair"):
+            def counted(*args, _name=name, _fn=getattr(starvlc.oracle, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(starvlc.oracle, name, counted)
+        sc, ch, beta_star = dead_third_panel()
+        coordinate_scan(ch, sc, DetectorScheme.SIC, beta_star, grid_points=11)
+        assert calls["rates_from_gains"] == ch.element_count * 11
+        assert calls["effective_channels"] == 1
+        assert calls["rate_pair"] == 0
 
     def test_dead_coordinate_scan_is_constant(self):
         sc = reference_scenario()
