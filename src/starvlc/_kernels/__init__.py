@@ -15,15 +15,15 @@ Why its best vertex is optimal over the box and over the binary vectors:
 - Edge fact (checked numerically, not proven): along a chain edge H1 rises
   and H2 falls linearly, and the sum rate peaks at an end. See
   tests/test_link.py::test_sum_rate_peaks_at_a_segment_end.
-Chain vertices are binary. The tests hold the walk to a Gray-code
-enumeration of all 2^N binary vectors, tests/gray_reference.py.
+Chain vertices are binary. The walk ranks them by the SINRs of `link`'s
+rule, which also gives the rates `vertex_enumerate` reports. The tests hold
+it to a Gray-code enumeration of all 2^N binary vectors,
+tests/gray_reference.py.
 """
 
 import numpy as np
 
-from ..link import RATE_SINR_SCALE
-
-BACKEND = "numpy"
+from ..link import RATE_SINR_SCALE, _sinrs
 
 
 def enumerate_vertices(h_los, hr, ht, a1, a2, sigma2, sic):
@@ -41,10 +41,7 @@ def enumerate_vertices(h_los, hr, ht, a1, a2, sigma2, sic):
     h1 = h_los + np.concatenate(([0.0], np.cumsum(hr[order])))
     h2 = float(ht.sum()) - np.concatenate(([0.0], np.cumsum(ht[order])))
     # Same expression as the Gray-code reference, so the values agree.
-    s1 = (a1 * h1) ** 2
-    s2 = (a2 * h2) ** 2
-    t1 = s1 / sigma2 if sic else s1 / (sigma2 + s2)
-    t2 = s2 / (sigma2 + s1)
+    t1, t2 = _sinrs((a1 * h1) ** 2, (a2 * h2) ** 2, sigma2, sic)
     val = 0.5 * (np.log2(1.0 + RATE_SINR_SCALE * t1) + np.log2(1.0 + RATE_SINR_SCALE * t2))
     k = int(np.argmax(val))
     beta = np.ones(len(hr))

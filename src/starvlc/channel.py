@@ -136,13 +136,12 @@ def _relay_gains(scenario: Scenario, ue: OrientedPoint, elements: np.ndarray) ->
     fov = math.radians(scenario.front_end.fov_deg)
     ok = (cos_phi > 0.0) & (cos_psi >= math.cos(fov))
     gains = np.zeros(elements.shape[0])
-    if np.any(ok):
-        gains[ok] = (
-            _gain_factor(scenario)
-            / (d_ue[ok] + d_ap[ok]) ** 2
-            * cos_phi[ok] ** m
-            * cos_psi[ok]
-        )
+    gains[ok] = (
+        _gain_factor(scenario)
+        / (d_ue[ok] + d_ap[ok]) ** 2
+        * cos_phi[ok] ** m
+        * cos_psi[ok]
+    )
     return gains
 
 

@@ -340,8 +340,7 @@ def _channels(scenario: Scenario):
 
 
 def _solve(channels, scenario: Scenario, scheme: DetectorScheme, mode: str):
-    """Run the solver of `mode` (a key of MODES). Returns its SpcaResult or
-    TimeSharingResult."""
+    """Run the solver of `mode` (a key of MODES). Returns its SpcaResult."""
     return globals()[MODES[mode]](channels, scenario, scheme)
 
 

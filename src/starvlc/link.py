@@ -55,19 +55,21 @@ def effective_channels(channels: ChannelSet, beta) -> tuple[float, float]:
     return h1, h2
 
 
+def _sinrs(s1, s2, sigma2: float, sic: bool):
+    """The two users' SINRs from their received powers s1, s2 (floats or
+    arrays): user 2 always sees user 1 as noise; user 1 sees user 2 as noise
+    under SUD and no interference under SIC, which cancels user 2 first."""
+    sinr1 = s1 / sigma2 if sic else s1 / (sigma2 + s2)
+    return sinr1, s2 / (sigma2 + s1)
+
+
 def sinr_from_gains(h1: float, h2: float, scenario: Scenario,
                     scheme: DetectorScheme) -> tuple[float, float]:
     """Post-detection SINRs of the two users for effective gains (H1, H2)."""
     rho = scenario.front_end.responsivity
-    sigma2 = scenario.noise_variance
     s1 = (rho * h1 * scenario.p1) ** 2
     s2 = (rho * h2 * scenario.p2) ** 2
-    sinr2 = s2 / (sigma2 + s1)
-    if scheme is DetectorScheme.SIC:
-        sinr1 = s1 / sigma2
-    else:
-        sinr1 = s1 / (sigma2 + s2)
-    return sinr1, sinr2
+    return _sinrs(s1, s2, scenario.noise_variance, scheme is DetectorScheme.SIC)
 
 
 def rate(sinr_value: float) -> float:

@@ -37,7 +37,7 @@ settings as an argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,20 +94,16 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class SpcaResult:
+    """What every solver returns. `alpha` is time-sharing's weight on user
+    1 (1.0 when user 1 is served, 0.0 when user 2 is) and None for the
+    other solvers; time-sharing keeps no trace."""
+
     beta: np.ndarray
     rates: RatePair
     trace: list[TraceEntry]
     converged: bool
     iterations: int
-
-
-@dataclass(frozen=True)
-class TimeSharingResult:
-    rates: RatePair
-    alpha: float
-    beta: np.ndarray
-    converged: bool
-    iterations: int
+    alpha: float | None = None
 
 
 class _ReducedProblem:
@@ -215,15 +211,20 @@ def _rate_and_slopes(u: float, du: tuple[float, float]) -> tuple[float, float, f
     return 0.5 * math.log2(1.0 + RATE_SINR_SCALE * u), drate_du * du[0], drate_du * du[1]
 
 
+def _positive_theta(theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta <= 0.0):
+        raise ValueError("surrogate parameters must be positive")
+    return theta
+
+
 def reduced_objective(beta, theta, channels: ChannelSet, scenario: Scenario,
                       scheme: DetectorScheme):
     """Reduced sum-rate objective value and exact gradient at `beta`.
 
     `theta` is the pair of surrogate parameters (array-like of length 2).
     """
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0):
-        raise ValueError("surrogate parameters must be positive")
+    theta = _positive_theta(theta)
     prob = _ReducedProblem(channels, scenario, scheme)
     f, x, y = prob.value_slopes(np.asarray(beta, dtype=float), theta)
     return f, prob.gradient(x, y)
@@ -250,14 +251,12 @@ def _pga(prob, objective, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndar
     beta = _project(np.asarray(beta0, dtype=float))
     f, x, y = objective(beta, theta)
     g = prob.gradient(x, y)
-    if beta.size == 0:
-        return beta, f, True
     step = SETTINGS.step_init
     prev_beta = None
     prev_g = None
     for _ in range(SETTINGS.max_inner_iterations):
         pg = _project(beta + g) - beta
-        if np.abs(pg).max() < SETTINGS.inner_tolerance:
+        if np.abs(pg).max(initial=0.0) < SETTINGS.inner_tolerance:
             return beta, f, True
         if prev_beta is not None:
             db = beta - prev_beta
@@ -303,9 +302,7 @@ def solve_subproblem(theta, channels: ChannelSet, scenario: Scenario,
 
     Returns (beta, inner_converged).
     """
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0):
-        raise ValueError("surrogate parameters must be positive")
+    theta = _positive_theta(theta)
     prob = _ReducedProblem(channels, scenario, scheme)
     beta, _, converged = _pga(prob, prob.value_slopes, theta, _start(prob, SETTINGS.beta_init))
     return beta, converged
@@ -395,13 +392,11 @@ def mode_switching_optimize(channels: ChannelSet, scenario: Scenario,
             beta[i], (h1, h2) = 1.0, hi
         else:
             beta[i], (h1, h2) = 0.0, lo
-    rates = rate_pair(channels, beta, scenario, scheme)
-    return SpcaResult(beta=beta, rates=rates, trace=result.trace,
-                      converged=result.converged, iterations=result.iterations)
+    return replace(result, beta=beta, rates=rate_pair(channels, beta, scenario, scheme))
 
 
 def time_sharing_optimize(channels: ChannelSet, scenario: Scenario,
-                          scheme: DetectorScheme) -> TimeSharingResult:
+                          scheme: DetectorScheme) -> SpcaResult:
     """Best alpha * R1 + (1 - alpha) * R2 over coefficients and alpha in [0, 1].
 
     For fixed coefficients the objective is linear in alpha, so the joint
@@ -417,9 +412,9 @@ def time_sharing_optimize(channels: ChannelSet, scenario: Scenario,
         win, alpha = best_r1, 1.0
     else:
         win, alpha = best_r2, 0.0
-    return TimeSharingResult(rates=win.rates, alpha=alpha, beta=win.beta,
-                             converged=best_r1.converged and best_r2.converged,
-                             iterations=best_r1.iterations + best_r2.iterations)
+    return SpcaResult(beta=win.beta, rates=win.rates, trace=[],
+                      converged=best_r1.converged and best_r2.converged,
+                      iterations=best_r1.iterations + best_r2.iterations, alpha=alpha)
 
 
 def max_min_optimize(channels: ChannelSet, scenario: Scenario,

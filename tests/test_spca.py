@@ -29,6 +29,9 @@ from starvlc.spca import _ReducedProblem
 from util import random_scenario, reference_scenario
 
 
+SOLVERS = (spca_optimize, mode_switching_optimize, time_sharing_optimize, max_min_optimize)
+
+
 def small_setup(seed=0, rows=2, cols=3):
     rng = np.random.default_rng(seed)
     sc = random_scenario(rng, rows=rows, cols=cols)
@@ -425,13 +428,35 @@ class TestSpca:
         assert np.all(result.beta >= 0.0) and np.all(result.beta <= 1.0)
 
     def test_empty_panel(self):
+        """On a 0-row panel, under both schemes, every solver and the oracle
+        return an empty beta and serve user 1 over the LOS link alone; every
+        solver converges and time-sharing picks user 1."""
         sc = reference_scenario()
         sc = replace(sc, panel=replace(sc.panel, rows=0))
         ch = channel_set(sc)
-        result = spca_optimize(ch, sc, DetectorScheme.SIC)
-        assert result.beta.shape == (0,)
-        assert result.rates.r2 == 0.0  # nothing reaches the AP from room 2
-        assert result.rates.r1 > 0.0
+        for scheme in DetectorScheme:
+            oracle = vertex_enumerate(ch, sc, scheme)
+            results = {solve: solve(ch, sc, scheme) for solve in SOLVERS}
+            for beta, rates in [(oracle.best_beta, oracle.best_rates),
+                                *((r.beta, r.rates) for r in results.values())]:
+                assert beta.shape == (0,)
+                assert rates.r2 == 0.0  # nothing reaches the AP from room 2
+                assert rates.r1 > 0.0
+            assert all(r.converged for r in results.values())
+            assert results[time_sharing_optimize].alpha == 1.0
+
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_every_solver_returns_an_spca_result(self, scheme):
+        """One record for all four solvers: only time-sharing sets `alpha`,
+        to a weight endpoint."""
+        sc, ch = small_setup(seed=8)
+        for solve in SOLVERS:
+            result = solve(ch, sc, scheme)
+            assert isinstance(result, spca.SpcaResult)
+            if solve is time_sharing_optimize:
+                assert result.alpha in (0.0, 1.0)
+            else:
+                assert result.alpha is None
 
 
 def reference_rounding(channels, scenario, scheme, beta):
@@ -698,8 +723,7 @@ def value_first_panels(solve):
 def assert_bitwise_equal(a, b):
     assert a.beta.tobytes() == b.beta.tobytes()
     assert (a.rates, a.converged, a.iterations) == (b.rates, b.converged, b.iterations)
-    assert [e.objective for e in getattr(a, "trace", [])] == \
-        [e.objective for e in getattr(b, "trace", [])]
+    assert [e.objective for e in a.trace] == [e.objective for e in b.trace]
 
 
 def count_inner_work(monkeypatch):
@@ -888,7 +912,7 @@ class TestOuterLoop:
         for (sc, ch), result in zip(cases, fast):
             ref = solve(ch, sc, scheme)
             assert_bitwise_equal(result, ref)
-            if isinstance(result, spca.TimeSharingResult):
+            if result.alpha is not None:  # time-sharing keeps no trace
                 assert result.alpha == ref.alpha
                 continue
             assert len(result.trace) == len(ref.trace) == result.iterations
@@ -947,9 +971,9 @@ def reference_time_sharing(channels, scenario, scheme, multistart):
         win, alpha = best_r1, 1.0
     else:
         win, alpha = best_r2, 0.0
-    return spca.TimeSharingResult(rates=win.rates, alpha=alpha, beta=win.beta,
-                                  converged=best_r1.converged and best_r2.converged,
-                                  iterations=best_r1.iterations + best_r2.iterations)
+    return spca.SpcaResult(beta=win.beta, rates=win.rates, trace=[],
+                           converged=best_r1.converged and best_r2.converged,
+                           iterations=best_r1.iterations + best_r2.iterations, alpha=alpha)
 
 
 def reference_solver(solve, multistart, monkeypatch):
@@ -989,11 +1013,10 @@ class TestMultistart:
         for (sc, ch), result in zip(cases, fast):
             ref = reference(ch, sc, scheme)
             assert_bitwise_equal(result, ref)
-            assert getattr(result, "alpha", None) == getattr(ref, "alpha", None)
-            trace, ref_trace = getattr(result, "trace", []), getattr(ref, "trace", [])
-            assert float_bytes([e.sum_rate for e in trace]) == \
-                float_bytes([e.sum_rate for e in ref_trace])
-            for entry, ref_entry in zip(trace, ref_trace):
+            assert result.alpha == ref.alpha
+            assert float_bytes([e.sum_rate for e in result.trace]) == \
+                float_bytes([e.sum_rate for e in ref.trace])
+            for entry, ref_entry in zip(result.trace, ref.trace):
                 for field in ("theta", "u", "v"):
                     assert getattr(entry.state, field).tobytes() == \
                         getattr(ref_entry.state, field).tobytes()

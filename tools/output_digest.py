@@ -44,8 +44,8 @@ def _feed(h, *values) -> None:
 def result_digest(h, result) -> None:
     rates = result.rates
     _feed(h, result.beta, rates.r1, rates.r2, rates.sum, rates.energy_efficiency,
-          bool(result.converged), result.iterations, getattr(result, "alpha", None))
-    for entry in getattr(result, "trace", []):
+          bool(result.converged), result.iterations, result.alpha)
+    for entry in result.trace:
         _feed(h, entry.objective, entry.sum_rate, entry.state.theta, entry.state.u,
               entry.state.v)
 
