@@ -69,13 +69,8 @@ def default_scenario() -> Scenario:
         ue1=OrientedPoint([3.5, 2.5, 1.0], [0.0, 0.0, 1.0]),
         ue2=OrientedPoint([6.0, 2.5, 1.0], [0.0, 0.0, 1.0]),
         source=LambertianSource(half_angle_deg=60.0),
-        panel=RisPanel(center=[5.0, 2.5, 1.5], rows=10, cols=8, pitch=0.1,
-                       normal=[1.0, 0.0, 0.0]),
-        front_end=OpticalFrontEnd(area=1.5e-4, fov_deg=85.0, gain=10.0,
-                                  responsivity=0.7),
-        p1=0.1,
-        p2=0.1,
-        noise_variance=1e-10,
+        panel=RisPanel(center=[5.0, 2.5, 1.5], rows=10, cols=8),
+        front_end=OpticalFrontEnd(),
     )
 
 

@@ -346,12 +346,8 @@ def _spca_multistart(prob: _ReducedProblem, objective, score) -> SpcaResult:
     basin; a single local ascent from the midpoint can settle in the wrong
     one, so the all-reflect and all-transmit starts cover both.
     """
-    best = None
-    for beta0 in (SETTINGS.beta_init, 0.0, 1.0):
-        result = _spca_loop(prob, objective, beta0)
-        if best is None or score(result.rates) > score(best.rates):
-            best = result
-    return best
+    results = [_spca_loop(prob, objective, beta0) for beta0 in (SETTINGS.beta_init, 0.0, 1.0)]
+    return max(results, key=lambda result: score(result.rates))
 
 
 def spca_optimize(channels: ChannelSet, scenario: Scenario,
@@ -412,9 +408,8 @@ def time_sharing_optimize(channels: ChannelSet, scenario: Scenario,
         win, alpha = best_r1, 1.0
     else:
         win, alpha = best_r2, 0.0
-    return SpcaResult(beta=win.beta, rates=win.rates, trace=[],
-                      converged=best_r1.converged and best_r2.converged,
-                      iterations=best_r1.iterations + best_r2.iterations, alpha=alpha)
+    return replace(win, trace=[], converged=best_r1.converged and best_r2.converged,
+                   iterations=best_r1.iterations + best_r2.iterations, alpha=alpha)
 
 
 def max_min_optimize(channels: ChannelSet, scenario: Scenario,

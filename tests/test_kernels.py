@@ -74,7 +74,7 @@ SIZES = list(range(17))
 
 @pytest.mark.parametrize("sic", [False, True])
 @pytest.mark.parametrize("n", SIZES)
-def test_backends_agree(n, sic):
+def test_walk_matches_reference(n, sic):
     rng = np.random.default_rng(1000 + n + int(sic))
     for _ in range(10 if n <= 10 else 2):
         check_walk(random_inputs(rng, n), sic)
@@ -82,7 +82,7 @@ def test_backends_agree(n, sic):
 
 @pytest.mark.parametrize("sic", [False, True])
 @pytest.mark.parametrize("n", SIZES)
-def test_backends_agree_on_ties(n, sic):
+def test_walk_matches_reference_on_ties(n, sic):
     rng = np.random.default_rng(2000 + n + int(sic))
     for _ in range(10 if n <= 10 else 2):
         check_walk(tied_inputs(rng, n), sic)

@@ -414,14 +414,6 @@ class TestSpca:
             assert last.objective == reduced_objective(result.beta, last.state.theta,
                                                        ch, sc, scheme)[0]
 
-    def test_default_scenario_fast_convergence(self):
-        sc = reference_scenario()
-        ch = channel_set(sc)
-        sic = spca_optimize(ch, sc, DetectorScheme.SIC)
-        sud = spca_optimize(ch, sc, DetectorScheme.SUD)
-        assert sic.converged and sic.iterations <= 6
-        assert sud.converged and sud.iterations <= 8
-
     def test_beta_stays_in_box(self):
         sc, ch = small_setup(seed=6, rows=3, cols=4)
         result = spca_optimize(ch, sc, DetectorScheme.SIC)
@@ -448,13 +440,14 @@ class TestSpca:
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
     def test_every_solver_returns_an_spca_result(self, scheme):
         """One record for all four solvers: only time-sharing sets `alpha`,
-        to a weight endpoint."""
+        to a weight endpoint, and it converges."""
         sc, ch = small_setup(seed=8)
         for solve in SOLVERS:
             result = solve(ch, sc, scheme)
             assert isinstance(result, spca.SpcaResult)
             if solve is time_sharing_optimize:
                 assert result.alpha in (0.0, 1.0)
+                assert result.converged
             else:
                 assert result.alpha is None
 
@@ -720,12 +713,6 @@ def value_first_panels(solve):
         yield sc, channel_set(sc)
 
 
-def assert_bitwise_equal(a, b):
-    assert a.beta.tobytes() == b.beta.tobytes()
-    assert (a.rates, a.converged, a.iterations) == (b.rates, b.converged, b.iterations)
-    assert [e.objective for e in a.trace] == [e.objective for e in b.trace]
-
-
 def count_inner_work(monkeypatch):
     """Record (trials, accepted steps, gradients formed) for each inner
     solve. Trials are the objective calls after the start's. A solve
@@ -792,20 +779,6 @@ class TestValueFirstTrials:
         d = spca._project(beta + t * g) - beta
         assert np.all(g * d >= 0.0)
         assert float(g @ d) >= 0.0
-
-    @pytest.mark.parametrize("scheme", list(DetectorScheme))
-    @pytest.mark.parametrize("solve", [spca_optimize, mode_switching_optimize,
-                                       time_sharing_optimize, max_min_optimize],
-                             ids=lambda solve: solve.__name__)
-    def test_solvers_match_the_reference_loop(self, solve, scheme, monkeypatch):
-        """The solver returns bitwise the same beta, rates, converged flag,
-        iteration count and trace objectives as with the loop that forms
-        each trial's step and gradient before its value test."""
-        cases = list(value_first_panels(solve))
-        fast = [solve(ch, sc, scheme) for sc, ch in cases]
-        monkeypatch.setattr(spca, "_pga", reference_pga)
-        for (sc, ch), result in zip(cases, fast):
-            assert_bitwise_equal(result, solve(ch, sc, scheme))
 
     def test_gradients_only_at_accepted_steps(self, monkeypatch):
         """Each inner solve forms one gradient at its start and one per
@@ -890,41 +863,6 @@ def reference_spca_loop(prob, objective, beta0):
                            converged=converged and inner_ok, iterations=iterations)
 
 
-class TestOuterLoop:
-    @pytest.mark.parametrize("scheme", list(DetectorScheme))
-    @pytest.mark.parametrize("solve", [spca_optimize, mode_switching_optimize,
-                                       time_sharing_optimize, max_min_optimize],
-                             ids=lambda solve: solve.__name__)
-    def test_solvers_match_the_reference_outer_loop(self, solve, scheme, monkeypatch):
-        """The solver returns bitwise the same beta, rates, converged flag,
-        iteration count and trace objectives, thetas and auxiliaries as
-        with the outer loop that recovers the auxiliaries and the trace's
-        sum-rate separately; the trace's sum-rate, now the rates of the
-        recovered SINRs, agrees to 1e-12."""
-        cases = list(value_first_panels(solve))
-        fast = [solve(ch, sc, scheme) for sc, ch in cases]
-        loops = []
-
-        def counted(*args):
-            loops.append(args)
-            return reference_spca_loop(*args)
-        monkeypatch.setattr(spca, "_spca_loop", counted)
-        for (sc, ch), result in zip(cases, fast):
-            ref = solve(ch, sc, scheme)
-            assert_bitwise_equal(result, ref)
-            if result.alpha is not None:  # time-sharing keeps no trace
-                assert result.alpha == ref.alpha
-                continue
-            assert len(result.trace) == len(ref.trace) == result.iterations
-            for entry, ref_entry in zip(result.trace, ref.trace):
-                for field in ("theta", "u", "v"):
-                    assert getattr(entry.state, field).tobytes() == \
-                        getattr(ref_entry.state, field).tobytes()
-                assert entry.sum_rate == pytest.approx(ref_entry.sum_rate, rel=1e-12, abs=0.0)
-        starts = 6 if solve is time_sharing_optimize else 3
-        assert len(loops) == starts * len(cases) > 0
-
-
 class WeightedProblem(_ReducedProblem):
     """`_ReducedProblem` with the `weights` it took before each solver passed
     its own objective; `value_slopes` is its weighted combine, kept
@@ -988,40 +926,83 @@ def reference_solver(solve, multistart, monkeypatch):
     return solve
 
 
-def float_bytes(values):
-    return np.array(values, dtype=float).tobytes()
+@pytest.fixture(scope="module")
+def unreplaced():
+    """`(solve, scheme) -> (cases, results)`: `value_first_panels(solve)` and
+    the solver's result on each with no layer replaced, computed once per
+    (solver, scheme) and shared by the three layers' cases."""
+    memo = {}
+
+    def outputs(solve, scheme):
+        if (solve, scheme) not in memo:
+            cases = list(value_first_panels(solve))
+            memo[solve, scheme] = cases, [solve(ch, sc, scheme) for sc, ch in cases]
+        return memo[solve, scheme]
+    return outputs
 
 
-class TestMultistart:
+def trace_bytes(result, layer):
+    """Each trace entry's objective, theta, u, v and (but for the legacy
+    loop's, which it validated through `sum_rate`) sum-rate, as float64
+    bytes."""
+    return [np.hstack([e.objective, e.state.theta, e.state.u, e.state.v,
+                       [] if layer == "loop" else e.sum_rate]).tobytes()
+            for e in result.trace]
+
+
+def assert_same_result(result, ref, layer):
+    """Bitwise the same beta, rates, flag, iterations, alpha and trace; the
+    legacy loop's trace sum-rates agree to 1e-12."""
+    assert result.beta.tobytes() == ref.beta.tobytes()
+    assert (result.rates, result.converged, result.iterations, result.alpha) == \
+        (ref.rates, ref.converged, ref.iterations, ref.alpha)
+    assert trace_bytes(result, layer) == trace_bytes(ref, layer)
+    if result.alpha is None:  # time-sharing keeps no trace
+        assert len(result.trace) == result.iterations
+    if layer == "loop":
+        for entry, ref_entry in zip(result.trace, ref.trace):
+            assert entry.sum_rate == pytest.approx(ref_entry.sum_rate, rel=1e-12, abs=0.0)
+
+
+class TestLegacyLayers:
+    @pytest.mark.parametrize("layer", ["pga", "loop", "multistart"])
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
-    @pytest.mark.parametrize("solve", [spca_optimize, mode_switching_optimize,
-                                       time_sharing_optimize, max_min_optimize],
-                             ids=lambda solve: solve.__name__)
-    def test_solvers_match_the_weighted_reference(self, solve, scheme, monkeypatch):
-        """Each solver passing its own objective and score returns bitwise
-        what the multistart with the `weights` and `minmax` knobs gave:
-        beta, rates, flag, iterations, alpha and every trace entry's
-        objective, sum-rate, theta and auxiliaries."""
-        cases = list(value_first_panels(solve))
-        fast = [solve(ch, sc, scheme) for sc, ch in cases]
-        runs = []
+    @pytest.mark.parametrize("solve", SOLVERS, ids=lambda solve: solve.__name__)
+    def test_solvers_match_the_legacy_layer(self, solve, scheme, layer, unreplaced, monkeypatch):
+        """Each solver returns bitwise what it returns with one layer
+        replaced by its verbatim legacy copy, on every `value_first_panels`
+        case, and runs through that copy:
+        - `pga`: `reference_pga`, which forms each trial's step and
+          gradient before its value test; at least once per start.
+        - `loop`: `reference_spca_loop`, which recovers the auxiliaries and
+          the trace's sum-rate separately; once per start.
+        - `multistart`: the multistart with the `weights` and `minmax`
+          knobs; once per multistart.
+        Time-sharing runs two multistarts of three starts each."""
+        cases, fast = unreplaced(solve, scheme)
+        calls = []
 
-        def counted(*args, **kwargs):
-            runs.append(args)
-            return reference_weighted_multistart(*args, **kwargs)
-        reference = reference_solver(solve, counted, monkeypatch)
-        for (sc, ch), result in zip(cases, fast):
-            ref = reference(ch, sc, scheme)
-            assert_bitwise_equal(result, ref)
-            assert result.alpha == ref.alpha
-            assert float_bytes([e.sum_rate for e in result.trace]) == \
-                float_bytes([e.sum_rate for e in ref.trace])
-            for entry, ref_entry in zip(result.trace, ref.trace):
-                for field in ("theta", "u", "v"):
-                    assert getattr(entry.state, field).tobytes() == \
-                        getattr(ref_entry.state, field).tobytes()
+        def counted(copy):
+            def call(*args, **kwargs):
+                calls.append(args)
+                return copy(*args, **kwargs)
+            return call
+        if layer == "multistart":
+            legacy = reference_solver(solve, counted(reference_weighted_multistart), monkeypatch)
+        else:
+            name, copy = {"pga": ("_pga", reference_pga),
+                          "loop": ("_spca_loop", reference_spca_loop)}[layer]
+            monkeypatch.setattr(spca, name, counted(copy))
+            legacy = solve
         multistarts = 2 if solve is time_sharing_optimize else 1
-        assert len(runs) == multistarts * len(cases) > 0
+        assert cases
+        for (sc, ch), result in zip(cases, fast):
+            calls.clear()
+            assert_same_result(result, legacy(ch, sc, scheme), layer)
+            if layer == "pga":
+                assert len(calls) >= 3 * multistarts
+            else:
+                assert len(calls) == (3 if layer == "loop" else 1) * multistarts
 
 
 class TestDeadElements:
@@ -1039,13 +1020,6 @@ class TestDeadElements:
 
 
 class TestTimeSharing:
-    def test_alpha_is_endpoint(self):
-        sc, ch = small_setup(seed=8)
-        for scheme in DetectorScheme:
-            res = time_sharing_optimize(ch, sc, scheme)
-            assert res.alpha in (0.0, 1.0)
-            assert res.converged
-
     def test_value_is_best_single_user_rate(self):
         # The winning weighted rate must beat serving either user with any
         # binary vertex assignment.
