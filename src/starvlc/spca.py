@@ -16,12 +16,12 @@ With the signal term A_k and interference-norm term V_k defined per scheme
 
 and user k's reduced rate is F_k = 0.5 * log2(1 + (e/2pi) * u_k). Each
 variant passes `_pga` its own objective of the F_k: energy splitting (and
-mode switching, which rounds its optimum) F_1 + F_2, time-sharing each F_k
-alone, max-min min(F_1, F_2). Each u_k depends on beta only through the
-effective gains H1 = h_los + beta.h_reflect and H2 = sum(h_transmit) -
-beta.h_transmit, so an objective F of the u_k has grad F = (dF/dH1) *
-h_reflect - (dF/dH2) * h_transmit: F and its two slopes cost two dot
-products; `_pga` combines gradients per accepted step.
+mode switching, which rounds its optimum) F_1 + F_2, max-min min(F_1, F_2);
+time-sharing, a vertex in closed form, passes none. Each u_k depends on
+beta only through the effective gains H1 = h_los + beta.h_reflect and
+H2 = sum(h_transmit) - beta.h_transmit, so an objective F of the u_k has
+grad F = (dF/dH1) * h_reflect - (dF/dH2) * h_transmit: F and its two
+slopes cost two dot products; `_pga` combines gradients per accepted step.
 
 Each outer iteration makes the surrogate tight again at the new iterate from
 one `terms` call: the auxiliaries are recovered as v_k = sqrt(V_k^2) and
@@ -396,20 +396,17 @@ def time_sharing_optimize(channels: ChannelSet, scenario: Scenario,
     """Best alpha * R1 + (1 - alpha) * R2 over coefficients and alpha in [0, 1].
 
     For fixed coefficients the objective is linear in alpha, so the joint
-    optimum sits at an alpha endpoint: it is the larger of the two
-    single-user optima. Ties go to alpha = 1.
+    optimum is the larger of the two single-user optima (ties to alpha = 1),
+    each a vertex in closed form. A user's rate rises with its own effective
+    gain and falls with the other's (user 1's under SIC ignores it): beta = 1
+    maximises H1 and sets H2 to 0; beta = 0 maximises H2 and leaves H1 at
+    h_los (dead elements stay at 1). No iteration runs.
     """
-    prob = _ReducedProblem(channels, scenario, scheme)
-    best_r1 = _spca_multistart(prob, lambda beta, theta: prob.user_values(beta, theta)[0],
-                               lambda r: r.r1)
-    best_r2 = _spca_multistart(prob, lambda beta, theta: prob.user_values(beta, theta)[1],
-                               lambda r: r.r2)
-    if best_r1.rates.r1 >= best_r2.rates.r2:
-        win, alpha = best_r1, 1.0
-    else:
-        win, alpha = best_r2, 0.0
-    return replace(win, trace=[], converged=best_r1.converged and best_r2.converged,
-                   iterations=best_r1.iterations + best_r2.iterations, alpha=alpha)
+    beta1 = np.ones(channels.element_count)
+    beta2 = np.where((channels.h_reflect == 0.0) & (channels.h_transmit == 0.0), 1.0, 0.0)
+    rates1, rates2 = (rate_pair(channels, b, scenario, scheme) for b in (beta1, beta2))
+    beta, rates, alpha = (beta1, rates1, 1.0) if rates1.r1 >= rates2.r2 else (beta2, rates2, 0.0)
+    return SpcaResult(beta, rates, trace=[], converged=True, iterations=0, alpha=alpha)
 
 
 def max_min_optimize(channels: ChannelSet, scenario: Scenario,

@@ -14,6 +14,7 @@ from starvlc import (
     DetectorScheme,
     OrientedPoint,
     Scenario,
+    build_ris_grid,
     channel_set,
     max_min_optimize,
     mode_switching_optimize,
@@ -467,6 +468,24 @@ class TestCliEntry:
         cfg.write_text(f"ue1.position = {ap}\n")
         assert main(["solve", "--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "degenerate geometry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", ["ue1", "ue2", "ap"])
+    def test_point_on_a_ris_element_exit_code(self, tmp_path, capsys, point):
+        """A UE or the AP exactly at a RIS element (element 4 of a 2 x 3
+        panel) leaves a relayed path of length 0: `channel_set` rejects it,
+        and `solve` on that scenario exits 1 with no traceback."""
+        sc = default_scenario()
+        sc = replace(sc, panel=replace(sc.panel, rows=2, cols=3))
+        on_element = OrientedPoint(build_ris_grid(sc.panel)[4], getattr(sc, point).normal)
+        sc = replace(sc, **{point: on_element})
+        with pytest.raises(ValueError, match="degenerate geometry"):
+            channel_set(sc)
+        cfg = tmp_path / "scenario.txt"
+        write_scenario(sc, cfg)
+        assert main(["solve", "--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "invalid scenario geometry" in err and "degenerate geometry" in err
+        assert "Traceback" not in err
 
     def test_sweep_through_the_wall_exit_code(self, tmp_path, capsys, monkeypatch):
         """Only the last point is through the wall; the sweep fails before

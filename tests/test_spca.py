@@ -30,6 +30,8 @@ from util import random_scenario, reference_scenario
 
 
 SOLVERS = (spca_optimize, mode_switching_optimize, time_sharing_optimize, max_min_optimize)
+# The solvers that run the SPCA multistart; time-sharing is in closed form.
+SPCA_SOLVERS = (spca_optimize, mode_switching_optimize, max_min_optimize)
 
 
 def small_setup(seed=0, rows=2, cols=3):
@@ -75,8 +77,7 @@ def reference_value_grad(prob, beta, theta):
 
 
 def reference_user_value_grad(k):
-    """User k's own value and gradient from the per-user reference: the
-    objective time-sharing passes for user k."""
+    """User k's own value and gradient from the per-user reference."""
     def ref(prob, beta, theta):
         values, grads = reference_user_values_grads(prob, beta, theta)
         return float(values[k]), grads[k]
@@ -84,7 +85,7 @@ def reference_user_value_grad(k):
 
 
 def user_objective(prob, k):
-    """User k's own (value, dF/dg1, dF/dg2), as time-sharing passes it."""
+    """User k's own (value, dF/dg1, dF/dg2), as `user_values` gives it."""
     return lambda beta, theta: prob.user_values(beta, theta)[k]
 
 
@@ -225,44 +226,34 @@ class TestReducedObjective:
 
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
     def test_solvers_match_the_reference_gradient(self, scheme, monkeypatch):
-        """ES, time-sharing and MS return bitwise the same beta and rates
-        when the reduced objectives and their gradient are the per-user
-        reference, on seeded room panels with dead elements. ES and MS
-        evaluate the sum (`value_slopes`), time-sharing each user's own
-        value (`user_values`); each solver is checked to have run through
-        its reference. A reference objective hands its point and its name
-        on as the slopes, so the gradient `_pga` forms from them is that
-        reference's at that point."""
+        """ES and MS return bitwise the same beta and rates when the reduced
+        objective and its gradient are the per-user reference, on seeded
+        room panels with dead elements. Both evaluate the sum
+        (`value_slopes`); each solver is checked to have run through the
+        reference. The reference objective hands its point on as the slopes,
+        so the gradient `_pga` forms from them is the reference's at that
+        point."""
         panels = list(room_panels(2, dead_elements=True))
-        solvers = (spca_optimize, time_sharing_optimize, mode_switching_optimize)
+        solvers = (spca_optimize, mode_switching_optimize)
         fast = [solve(ch, sc, scheme) for sc, ch in panels for solve in solvers]
         calls = Counter()
-        refs = {"sum": reference_value_grad, 0: reference_user_value_grad(0),
-                1: reference_user_value_grad(1)}
 
         def reference_objective(prob, beta, theta):
             calls["value_slopes"] += 1
-            return refs["sum"](prob, beta, theta)[0], beta, (theta, "sum")
+            return reference_value_grad(prob, beta, theta)[0], beta, theta
 
-        def reference_user_values(prob, beta, theta):
-            calls["user_values"] += 1
-            return tuple((refs[k](prob, beta, theta)[0], beta, (theta, k)) for k in range(2))
-
-        def reference_gradient(prob, beta, slope):
+        def reference_gradient(prob, beta, theta):
             calls["gradient"] += 1
-            theta, name = slope
-            return refs[name](prob, beta, theta)[1]
+            return reference_value_grad(prob, beta, theta)[1]
 
         monkeypatch.setattr(_ReducedProblem, "value_slopes", reference_objective)
-        monkeypatch.setattr(_ReducedProblem, "user_values", reference_user_values)
         monkeypatch.setattr(_ReducedProblem, "gradient", reference_gradient)
         slow = []
         for sc, ch in panels:
             for solve in solvers:
                 calls.clear()
                 slow.append(solve(ch, sc, scheme))
-                objective = "user_values" if solve is time_sharing_optimize else "value_slopes"
-                assert calls[objective] > 0 and calls["gradient"] > 0
+                assert calls["value_slopes"] > 0 and calls["gradient"] > 0
         for a, b in zip(fast, slow):
             np.testing.assert_array_equal(a.beta, b.beta)
             assert a.rates == b.rates
@@ -727,7 +718,7 @@ def count_inner_work(monkeypatch):
     stationarity test, so its iterations are projections minus objective
     calls; every iteration but a converged solve's last moves beta. The
     objective is counted as `_pga` receives it, so each solver's own
-    objective (the sum, one user's value or the min) counts alike."""
+    objective (the sum or the min) counts alike."""
     counts = Counter()
 
     def counting(owner, name):
@@ -794,7 +785,7 @@ class TestValueFirstTrials:
         solves = count_inner_work(monkeypatch)
         for sc, ch in room_panels(1, dead_elements=True):
             if ch.element_count <= 80:
-                for solve in (spca_optimize, time_sharing_optimize, max_min_optimize):
+                for solve in (spca_optimize, max_min_optimize):
                     before = len(solves)
                     solve(ch, sc, DetectorScheme.SIC)
                     assert len(solves) > before
@@ -927,8 +918,6 @@ def reference_solver(solve, multistart, monkeypatch):
         return multistart
     if solve is max_min_optimize:
         return lambda ch, sc, scheme: multistart(ch, sc, scheme, minmax=True)
-    if solve is time_sharing_optimize:
-        return lambda ch, sc, scheme: reference_time_sharing(ch, sc, scheme, multistart)
     monkeypatch.setattr(spca, "spca_optimize", multistart)  # MS rounds the ES optimum
     return solve
 
@@ -964,8 +953,7 @@ def assert_same_result(result, ref, layer):
     assert (result.rates, result.converged, result.iterations, result.alpha) == \
         (ref.rates, ref.converged, ref.iterations, ref.alpha)
     assert trace_bytes(result, layer) == trace_bytes(ref, layer)
-    if result.alpha is None:  # time-sharing keeps no trace
-        assert len(result.trace) == result.iterations
+    assert len(result.trace) == result.iterations
     if layer == "loop":
         for entry, ref_entry in zip(result.trace, ref.trace):
             assert entry.sum_rate == pytest.approx(ref_entry.sum_rate, rel=1e-12, abs=0.0)
@@ -974,7 +962,7 @@ def assert_same_result(result, ref, layer):
 class TestLegacyLayers:
     @pytest.mark.parametrize("layer", ["pga", "loop", "multistart"])
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
-    @pytest.mark.parametrize("solve", SOLVERS, ids=lambda solve: solve.__name__)
+    @pytest.mark.parametrize("solve", SPCA_SOLVERS, ids=lambda solve: solve.__name__)
     def test_solvers_match_the_legacy_layer(self, solve, scheme, layer, unreplaced, monkeypatch):
         """Each solver returns bitwise what it returns with one layer
         replaced by its verbatim legacy copy, on every `value_first_panels`
@@ -984,8 +972,7 @@ class TestLegacyLayers:
         - `loop`: `reference_spca_loop`, which recovers the auxiliaries and
           the trace's sum-rate separately; once per start.
         - `multistart`: the multistart with the `weights` and `minmax`
-          knobs; once per multistart.
-        Time-sharing runs two multistarts of three starts each."""
+          knobs; once per solve."""
         cases, fast = unreplaced(solve, scheme)
         calls = []
 
@@ -1001,15 +988,14 @@ class TestLegacyLayers:
                           "loop": ("_spca_loop", reference_spca_loop)}[layer]
             monkeypatch.setattr(spca, name, counted(copy))
             legacy = solve
-        multistarts = 2 if solve is time_sharing_optimize else 1
         assert cases
         for (sc, ch), result in zip(cases, fast):
             calls.clear()
             assert_same_result(result, legacy(ch, sc, scheme), layer)
             if layer == "pga":
-                assert len(calls) >= 3 * multistarts
+                assert len(calls) >= 3
             else:
-                assert len(calls) == (3 if layer == "loop" else 1) * multistarts
+                assert len(calls) == (3 if layer == "loop" else 1)
 
 
 class TestDeadElements:
@@ -1067,6 +1053,48 @@ class TestTimeSharing:
             assert (res.rates.r1 if res.alpha == 1.0 else res.rates.r2) == max(r1, r2)
             assert set(np.unique(res.beta)) <= {0.0, 1.0}
         assert len(cases) == 33
+
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_matches_the_legacy_multistart(self, scheme, monkeypatch):
+        """The closed form returns bitwise the beta, alpha, rates and flag
+        of the SPCA time-sharing it replaced (one weighted multistart of
+        three outer loops per user) on every `value_first_panels` case,
+        with no trace and 0 iterations, and runs no outer loop."""
+        loops = []
+        spca_loop = spca._spca_loop
+
+        def counted(*args):
+            loops.append(args)
+            return spca_loop(*args)
+        monkeypatch.setattr(spca, "_spca_loop", counted)
+        cases = list(value_first_panels(time_sharing_optimize))
+        for sc, ch in cases:
+            loops.clear()
+            ref = reference_time_sharing(ch, sc, scheme, reference_weighted_multistart)
+            assert len(loops) == 6
+            loops.clear()
+            result = time_sharing_optimize(ch, sc, scheme)
+            assert not loops
+            assert result.beta.tobytes() == ref.beta.tobytes()
+            assert (result.alpha, result.rates, result.converged) == \
+                (ref.alpha, ref.rates, ref.converged)
+            assert (result.trace, result.iterations) == ([], 0)
+        assert len(cases) == 7
+
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_unserved_user_adds_nothing(self, scheme):
+        """Serving user 1 at beta = 1 gives user 2 no gain (H2 = 0), so its
+        rate is 0 and the sum is user 1's rate, also where element 1 is seen
+        by UE2 alone (its reflect gain is 0)."""
+        sc = reference_scenario()
+        sc = replace(sc, panel=replace(sc.panel, rows=1, cols=3))
+        ch = ChannelSet(h_los=5e-5, h_reflect=[4e-5, 0.0, 3e-5],
+                        h_transmit=[1e-5, 4e-5, 2e-5])
+        res = time_sharing_optimize(ch, sc, scheme)
+        assert res.alpha == 1.0
+        np.testing.assert_array_equal(res.beta, np.ones(3))
+        assert res.rates.r2 == 0.0
+        assert res.rates.sum == res.rates.r1
 
 
 class TestMaxMin:
