@@ -3,6 +3,7 @@ reflecting RIS: channel model, sum-rate optimizers and validation oracles."""
 
 __version__ = "0.1.0"
 
+from ._kernels import KERNEL_BACKEND
 from .channel import (
     ChannelSet,
     OpticalFrontEnd,
@@ -33,9 +34,6 @@ from .spca import (
     time_sharing_optimize,
 )
 
-# The chain walk's implementation; benchmark run records read it.
-KERNEL_BACKEND = "numpy"
-
 __all__ = [
     "KERNEL_BACKEND",
     "ChannelSet",
@@ -59,12 +57,9 @@ __all__ = [
     "OracleReport",
     "coordinate_scan",
     "vertex_enumerate",
-    "SpcaConfig",
     "SpcaResult",
     "max_min_optimize",
     "mode_switching_optimize",
-    "reduced_objective",
-    "solve_subproblem",
     "spca_optimize",
     "time_sharing_optimize",
 ]

@@ -308,11 +308,9 @@ def scenario_at(spec: SweepSpec, value: float) -> Scenario:
         if spec.parameter == "element_count":
             rows = int(value) // sc.panel.cols
             return replace(sc, panel=replace(sc.panel, rows=rows))
-        if spec.parameter == "power_both":
-            return replace(sc, p1=value, p2=value)
+        return replace(sc, p1=value, p2=value)  # power_both
     except ValueError as err:
         raise ConfigError(f"sweep {spec.parameter} = {value!r}: {err}") from err
-    raise ConfigError(f"unknown sweep parameter {spec.parameter!r}")
 
 
 def no_ris_rate_ue1(scenario: Scenario) -> float:
@@ -445,7 +443,7 @@ def _cmd_solve(args) -> int:
     rates, iters, converged = result.rates, result.iterations, result.converged
     out = Path(args.out)
     _write_csv(out / "solution.csv", [RESULT_HEADER, _result_row(result)])
-    if scenario.panel.rows * scenario.panel.cols:
+    if scenario.panel.element_count:
         _write_beta(result.beta, scenario.panel, out / "beta.csv")
     manifest = {**{f"scenario.{k}": v for k, v in scenario_entries(scenario).items()},
                 **SPCA_ENTRIES,

@@ -1,5 +1,5 @@
 """Pure-Python Gray-code vertex enumeration, the reference the tests hold
-the chain walk `starvlc._kernels.enumerate_vertices` to.
+the chain walk `starvlc.oracle.enumerate_vertices` to.
 
 Walks all 2^N binary coefficient vectors in binary-reflected Gray order so
 each step flips a single coordinate, letting the two effective gains be

@@ -284,12 +284,16 @@ class TestRunSweep:
         rows = read_csv(tmp_path / "sweep.csv")
         assert rows[1] == rows[2]
 
-    def test_power_sweep_notes_zero_exclusion(self, tmp_path):
-        spec = SweepSpec(parameter="power_both", start=0.001, stop=0.1, steps=2,
+    @pytest.mark.parametrize("start", [0.001, 0.0])
+    def test_power_sweep_notes_zero_exclusion(self, tmp_path, start):
+        spec = SweepSpec(parameter="power_both", start=start, stop=0.1, steps=2,
                          scenario=small_sweep_scenario())
         run_sweep(spec, tmp_path)
         manifest = parse_kv_file(tmp_path / "manifest.txt")
-        assert "note" not in manifest
+        if start > 0.0:
+            assert "note" not in manifest
+        else:
+            assert "above 0 W" in manifest["note"]
 
 
 class TestNoRisBaseline:
@@ -521,7 +525,8 @@ class TestCliEntry:
 
     @pytest.mark.parametrize("line", ["ap.normal = [0, 0, 2]", "ris.rows = -1",
                                       "power.ue1 = -5", "ue1.position = [6.0, 2.5, 1.0]",
-                                      "detector.fov_deg = 95.0"])
+                                      "detector.fov_deg = 95.0", "ris.normal = [0, 0, 0]",
+                                      "source.half_angle_deg = 90.0"])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(line + "\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from starvlc import LambertianSource, OrientedPoint, RisPanel, build_ris_grid, lambertian_order
+from starvlc.geometry import panel_axes
 
 
 class TestLambertianOrder:
@@ -73,6 +74,17 @@ class TestRisGrid:
             grid = build_ris_grid(panel)
             np.testing.assert_allclose(grid.mean(axis=0), panel.center, atol=1e-9)
 
+    def test_ceiling_panel_lies_in_its_plane(self):
+        # A normal along z takes panel_axes' non-wall branch.
+        panel = RisPanel(center=[5.0, 2.5, 3.0], rows=3, cols=4, pitch=0.2, normal=[0, 0, 1])
+        col_axis, row_axis = panel_axes(panel)
+        axes = np.stack([col_axis, row_axis, panel.normal])
+        np.testing.assert_allclose(axes @ axes.T, np.eye(3), atol=1e-12)
+        grid = build_ris_grid(panel)
+        assert grid.shape == (12, 3)
+        np.testing.assert_array_equal(grid[:, 2], np.full(12, 3.0))
+        np.testing.assert_allclose(grid.mean(axis=0), panel.center, atol=1e-12)
+
     def test_empty_panel(self):
         panel = RisPanel(center=[5.0, 2.5, 1.5], rows=0, cols=8)
         assert build_ris_grid(panel).shape == (0, 3)
@@ -88,6 +100,10 @@ class TestOrientedPoint:
     def test_requires_unit_normal(self):
         with pytest.raises(ValueError):
             OrientedPoint([0, 0, 0], [0, 0, 2.0])
+
+    def test_rejects_a_position_that_is_not_a_3_vector(self):
+        with pytest.raises(ValueError, match="expected a 3-vector"):
+            OrientedPoint([1.0, 2.0], [0, 0, 1])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):
