@@ -13,8 +13,43 @@ Why its best vertex is optimal over the box and over the binary vectors:
   raises both SINRs, under SUD and SIC alike. A ray from the origin, on
   which H1 and H2 both rise, leaves the zonotope across the upper chain, so
   the optimum lies on that chain.
-- Edge fact (checked numerically, not proven): along a chain edge H1 rises
-  and H2 falls linearly, and the sum rate peaks at an end. See
+- Edge fact: along a chain edge H1 rises and H2 falls linearly, and the
+  sum rate peaks at an end. Write x = a1·H1/σ, y = a2·H2/σ, X = x², Y = y²
+  and c = e/2π, and let subscripts denote partial derivatives. Then
+  2·ln2·(R1 + R2) = L(x, y), where
+      SIC: L = ln(1 + cX) + ln(1 + X + cY) - ln(1 + X),
+      SUD: L = ln(1 + Y + cX) + ln(1 + X + cY) - ln(1 + Y) - ln(1 + X).
+  Along an edge (x, y) = (x0 + p·s, y0 - q·s) with p, q >= 0, not both 0,
+  so φ(s) = L has φ' = p·L_x - q·L_y and φ'' = p²·L_xx - 2pq·L_xy + q²·L_yy.
+  Inside an edge x > 0 and y > 0, since x only rises and y only falls.
+  SIC (proven): L_y = 2y·c/(1 + X + cY) > 0, and L_x = 2x·L_X has the sign
+  of (1 + X)² - (1 - c)·Y, which rises with x.
+  - p = 0: φ' = -q·L_y < 0, so φ falls.
+  - q = 0: φ' = p·L_x changes sign at most once, from - to +, so φ falls,
+    then rises.
+  - p, q > 0: at a critical point p·L_x = q·L_y > 0, so (p, q) = k·(L_y, L_x)
+    with k > 0 and φ'' = k²·Q, where
+      Q = L_y²·L_xx - 2·L_x·L_y·L_xy + L_x²·L_yy
+        = 8c³·P / ((1 + X)²·(1 + cX)²·(1 + X + cY)³),
+    with, in Python syntax,
+      P = X*(1 + X)**4 + (1 + (5 - c)*X + (7 - c)*X**2 + (3 + c)*X**3 + c*X**4)*Y
+          - (1 - c)*(1 - 2*c*X - 3*c*X**2)*Y**2.
+    L_x > 0 means Y = t·(1 + X)²/(1 - c) for some 0 < t < 1. Substituted,
+    (1 - c)²·P = q_0 + q_1·X + ... + q_6·X⁶ with
+      q_0 = (1 - c)·t·(1 - t),
+      q_1 = (1 - c)·((1 - c) + (7 - c)·t - (4 - 2c)·t²),
+      q_2 = (1 - c)·(4(1 - c) + (18 - 3c)·t - (6 - 11c)·t²),
+      q_3 = 2(1 - c)·(3(1 - c) + (11 - c)·t + (12c - 2)·t²),
+      q_4 = (1 - c)·(4(1 - c) + (13 + 2c)·t + (26c - 1)·t²),
+      q_5 = (1 - c)·((1 - c) + 3(1 + c)·t + 14c·t²),
+      q_6 = (1 - c)·c·t·(1 + 3t).
+    c is about 0.433, so 4 - 2c, 6 - 11c, 12c - 2 and 26c - 1 are positive,
+    and t² < t gives q_1 > (1 - c)·((1 - c) + (3 + c)·t) and
+    q_2 > (1 - c)·(4(1 - c) + (12 + 8c)·t). Every q_i > 0, so P > 0 and
+    Q > 0: each critical point inside the edge is a strict local minimum.
+  In each case φ peaks at an end. tests/test_oracle.py evaluates this P
+  against a central-difference Q.
+  SUD (checked numerically, not proven): see
   tests/test_link.py::test_sum_rate_peaks_at_a_segment_end and the per-edge
   check in tests/test_kernels.py.
 Chain vertices are binary. The walk ranks them by the SINRs of `link`'s

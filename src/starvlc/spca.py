@@ -28,7 +28,9 @@ one `terms` call: the auxiliaries are recovered as v_k = sqrt(V_k^2) and
 u_k = (A_k / v_k)^2, the exact SINR, whose rates give the trace's sum-rate,
 and theta_k = sqrt(u_k) / v_k. V_k^2 >= min(1, sigma^2) > 0, so v_k > 0;
 a user keeps its previous theta_k where u_k = 0 (a dead channel) or
-v_k < 1e-30.
+v_k < 1e-30. A multistart solves each distinct inner problem (objective,
+theta, start) once: its starts often reach the same iterate under the same
+theta and then share that solve and the exact rates (`_ReducedProblem.once`).
 
 Every solver runs with one fixed set of settings, `SETTINGS`; none takes
 settings as an argument.
@@ -124,12 +126,21 @@ class _ReducedProblem:
         self.ht = channels.h_transmit
         self.ht_sum = float(self.ht.sum())
         self.scheme = scheme
+        self.sic = scheme is DetectorScheme.SIC
+        self.dead = (self.hr == 0.0) & (self.ht == 0.0)
         self.channels = channels
         self.scenario = scenario
+        self.table: dict = {}
+
+    def once(self, key, compute):
+        """`compute()`, run at most once per `key` in `self.table`."""
+        if key not in self.table:
+            self.table[key] = compute()
+        return self.table[key]
 
     def gains(self, beta: np.ndarray) -> tuple[float, float]:
-        h1 = self.h_los + float(beta @ self.hr)
-        h2 = self.ht_sum - float(beta @ self.ht)
+        h1 = self.h_los + float(beta.dot(self.hr))
+        h2 = self.ht_sum - float(beta.dot(self.ht))
         return h1, h2
 
     def terms(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +148,7 @@ class _ReducedProblem:
         h1, h2 = self.gains(beta)
         g1 = self.a1 * h1
         g2 = self.a2 * h2
-        if self.scheme is DetectorScheme.SIC:
+        if self.sic:
             a = np.array([g1 / self.sigma, g2])
             v2 = np.array([1.0, g1 * g1 + self.sigma2])
         else:
@@ -152,7 +163,7 @@ class _ReducedProblem:
         g1 = self.a1 * h1
         g2 = self.a2 * h2
         t1, t2 = theta.tolist()
-        if self.scheme is DetectorScheme.SIC:  # A1 = g1 / sigma, V1^2 = 1
+        if self.sic:  # A1 = g1 / sigma, V1^2 = 1
             u1 = 2.0 * t1 * (g1 / self.sigma) - t1 * t1
             du1 = (2.0 * t1 / self.sigma, 0.0)
         else:  # A1 = g1, V1^2 = g2^2 + sigma^2
@@ -248,24 +259,24 @@ def _pga(prob, objective, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndar
     with no step d formed; a stall (d == 0, so fc == f) is caught on the other
     branch. Gradients are formed only at the start and at accepted steps.
     """
+    tolerance, step_init = SETTINGS.inner_tolerance, SETTINGS.step_init
+    slope, shrink = SETTINGS.armijo_slope, SETTINGS.armijo_shrink
     beta = _project(np.asarray(beta0, dtype=float))
     f, x, y = objective(beta, theta)
     g = prob.gradient(x, y)
-    step = SETTINGS.step_init
-    prev_beta = None
-    prev_g = None
+    step = step_init
+    d = prev_g = None
     for _ in range(SETTINGS.max_inner_iterations):
         pg = _project(beta + g) - beta
-        if np.abs(pg).max(initial=0.0) < SETTINGS.inner_tolerance:
+        if np.abs(pg).max(initial=0.0) < tolerance:
             return beta, f, True
-        if prev_beta is not None:
-            db = beta - prev_beta
+        if d is not None:  # d = beta - prev_beta, the step last accepted
             dg = g - prev_g
-            denom = float(db @ dg)
-            if denom < 0.0:  # ascent: curvature along db should be negative
-                step = float(db @ db) / (-denom)
+            denom = float(d.dot(dg))
+            if denom < 0.0:  # ascent: curvature along d should be negative
+                step = float(d.dot(d)) / (-denom)
             else:
-                step = SETTINGS.step_init
+                step = step_init
             step = min(max(step, 1e-12), 1e12)
         accepted = False
         t = step
@@ -274,16 +285,16 @@ def _pga(prob, objective, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndar
             fc, xc, yc = objective(cand, theta)
             if fc >= f:
                 d = cand - beta
-                if np.abs(d).max() == 0.0:
+                if not d.any():
                     break
-                if fc >= f + SETTINGS.armijo_slope * float(g @ d):
+                if fc >= f + slope * float(g.dot(d)):
                     accepted = True
                     break
-            t *= SETTINGS.armijo_shrink
+            t *= shrink
         if not accepted:
             # no ascent step found: treat as converged at a stationary point
             return beta, f, True
-        prev_beta, prev_g = beta, g
+        prev_g = g
         beta, f, g = cand, fc, prob.gradient(xc, yc)
     return beta, f, False
 
@@ -292,7 +303,7 @@ def _start(prob: _ReducedProblem, value: float) -> np.ndarray:
     """A start vector: `value` at every element but the dead ones (both
     gains 0), which get 1. A dead element's gradient is 0, so it keeps its
     start value; 1 is the value mode switching gives it."""
-    return np.where((prob.hr == 0.0) & (prob.ht == 0.0), 1.0, value)
+    return np.where(prob.dead, 1.0, value)
 
 
 def solve_subproblem(theta, channels: ChannelSet, scenario: Scenario,
@@ -316,23 +327,26 @@ def _spca_loop(prob: _ReducedProblem, objective, beta0: float) -> SpcaResult:
     inner_ok = True
     for _m in range(SETTINGS.max_outer_iterations):
         prev_beta = beta
-        beta, value, ok = _pga(prob, objective, theta, beta)
+        beta, value, ok = prob.once((objective, theta.tobytes(), beta.tobytes()),
+                                    lambda: _pga(prob, objective, theta, prev_beta))
         inner_ok = inner_ok and ok
         a, v2 = prob.terms(beta)
         v = np.sqrt(v2)
         u = (a / v) ** 2
-        u1, u2 = u.tolist()
-        trace.append(TraceEntry(objective=value, sum_rate=rate(u1) + rate(u2),
+        uv = u.tolist() + v.tolist()
+        trace.append(TraceEntry(objective=value, sum_rate=rate(uv[0]) + rate(uv[1]),
                                 state=SurrogateState(theta=theta, u=u, v=v)))
         if len(trace) > 1:
-            prev = trace[-2].state
             delta = max(np.abs(beta - prev_beta).max(initial=0.0),
-                        np.abs(u - prev.u).max(), np.abs(v - prev.v).max())
+                        *(abs(now - was) for now, was in zip(uv, prev_uv)))
             if delta < SETTINGS.tolerance:
                 converged = True
                 break
-        theta = np.where((u <= 0.0) | (v < 1e-30), theta, np.sqrt(u) / v)
-    rates = rate_pair(prob.channels, beta, prob.scenario, prob.scheme)
+        prev_uv = uv
+        theta = np.array([t if uk <= 0.0 or vk < 1e-30 else math.sqrt(uk) / vk
+                          for t, uk, vk in zip(theta.tolist(), uv[:2], uv[2:])])
+    rates = prob.once(beta.tobytes(),
+                      lambda: rate_pair(prob.channels, beta, prob.scenario, prob.scheme))
     return SpcaResult(beta=beta, rates=rates, trace=trace,
                       converged=converged and inner_ok, iterations=len(trace))
 
@@ -347,6 +361,7 @@ def _spca_multistart(prob: _ReducedProblem, objective, score) -> SpcaResult:
     one, so the all-reflect and all-transmit starts cover both.
     """
     results = [_spca_loop(prob, objective, beta0) for beta0 in (SETTINGS.beta_init, 0.0, 1.0)]
+    prob.table.clear()  # its keys hold `objective`, whose reference to `prob` makes a cycle
     return max(results, key=lambda result: score(result.rates))
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from starvlc import (
     sum_rate,
     vertex_enumerate,
 )
+from starvlc.link import RATE_SINR_SCALE, _sinrs
 from util import random_scenario, reference_scenario
 
 
@@ -165,3 +167,73 @@ class TestCoordinateScan:
         ch = channel_set(sc)
         with pytest.raises(ValueError):
             coordinate_scan(ch, sc, DetectorScheme.SIC, np.zeros(80), grid_points=2)
+
+
+def docstring_p():
+    """The polynomial P of `oracle`'s edge-fact proof, as its docstring
+    writes it: the line `P = ...` and the lines continuing it."""
+    lines = iter(starvlc.oracle.__doc__.splitlines())
+    text = next(line for line in lines if line.strip().startswith("P = ")).split("=", 1)[1]
+    for line in lines:
+        if not line.strip().startswith(("+ ", "- ")):
+            break
+        text += line
+    return text.strip().rstrip(".")
+
+
+def evaluate_p(text, X, Y):
+    return eval(text, {}, {"X": X, "Y": Y, "c": RATE_SINR_SCALE})
+
+
+def sic_q_terms(x, y):
+    """The three terms of Q = L_y²·L_xx - 2·L_x·L_y·L_xy + L_x²·L_yy, by
+    central differences (steps 1e-3 relative) of L = 2·ln2·(R1 + R2) under
+    SIC with x = a1·H1/σ, y = a2·H2/σ (so σ = 1 and the powers are x², y²)."""
+    hx, hy = 1e-3 * x, 1e-3 * y
+
+    def L(i, j):
+        sinr1, sinr2 = _sinrs((x + i * hx) ** 2, (y + j * hy) ** 2, 1.0, True)
+        return np.log1p(RATE_SINR_SCALE * sinr1) + np.log1p(RATE_SINR_SCALE * sinr2)
+    lx = (L(1, 0) - L(-1, 0)) / (2 * hx)
+    ly = (L(0, 1) - L(0, -1)) / (2 * hy)
+    lxx = (L(1, 0) - 2 * L(0, 0) + L(-1, 0)) / hx**2
+    lyy = (L(0, 1) - 2 * L(0, 0) + L(0, -1)) / hy**2
+    lxy = (L(1, 1) - L(1, -1) - L(-1, 1) + L(-1, -1)) / (4 * hx * hy)
+    return np.array([ly**2 * lxx, -2 * lx * ly * lxy, lx**2 * lyy])
+
+
+class TestEdgeFactProof:
+    """The SIC half of `oracle`'s edge-fact proof, in floats."""
+
+    def q_mismatch(self, text):
+        """The largest gap between 8c³·P/den and the central-difference Q at
+        1000 random points, x and y log-uniform in [0.1, 10], relative to the
+        size of Q's three terms."""
+        rng = np.random.default_rng(2024)
+        x, y = 10.0 ** rng.uniform(-1.0, 1.0, (2, 1000))
+        X, Y, c = x**2, y**2, RATE_SINR_SCALE
+        terms = sic_q_terms(x, y)
+        q = 8 * c**3 * evaluate_p(text, X, Y) / ((1 + X) ** 2 * (1 + c * X) ** 2
+                                                  * (1 + X + c * Y) ** 3)
+        return float(np.max(np.abs(terms.sum(axis=0) - q) / np.abs(terms).sum(axis=0)))
+
+    def test_p_matches_a_central_difference_q(self):
+        assert self.q_mismatch(docstring_p()) < 1e-3
+
+    def test_p_is_positive_where_l_x_is(self):
+        """P > 0 where (1 + X)² > (1 - c)·Y: on Y = t·(1 + X)²/(1 - c)."""
+        rng = np.random.default_rng(7)
+        X = 10.0 ** rng.uniform(-3.0, 3.0, 10_000)
+        t = rng.uniform(1e-3, 1.0 - 1e-3, 10_000)
+        Y = t * (1 + X) ** 2 / (1 - RATE_SINR_SCALE)
+        assert np.all(evaluate_p(docstring_p(), X, Y) > 0.0)
+
+    def test_a_changed_coefficient_fails_the_match(self):
+        """Each integer of the written P, raised by 1, breaks the match, so
+        the match checks every coefficient (and exponent)."""
+        text = docstring_p()
+        numbers = list(re.finditer(r"\d+", text))
+        assert len(numbers) == 15
+        for number in numbers:
+            changed = text[:number.start()] + str(int(number.group()) + 1) + text[number.end():]
+            assert self.q_mismatch(changed) > 1e-2, changed

@@ -3,6 +3,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
@@ -33,3 +34,22 @@ def test_digest_repeats_and_sees_a_last_bit(monkeypatch):
         return channels, result
     monkeypatch.setattr(tool.workloads, "run_library", nudged)
     assert tool.workload_digest(ops) != first
+
+
+def test_workload_option_picks_one_workload(monkeypatch, capsys):
+    """`--workload fairness-power` prints only that workload's line."""
+    tool = load_tool()
+    build = tool.workloads.build_ops
+    monkeypatch.setattr(tool.workloads, "build_ops",
+                        lambda name, seed: build(name, seed, small=True))
+    assert tool.main(["--seed", "1", "--workload", "fairness-power"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fairness-power ")
+
+
+def test_unknown_workload_exits_2(capsys):
+    tool = load_tool()
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main(["--seed", "1", "--workload", "panels"])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import gc
 import math
 from collections import Counter
 from dataclasses import replace
@@ -996,6 +997,50 @@ class TestLegacyLayers:
                 assert len(calls) >= 3
             else:
                 assert len(calls) == (3 if layer == "loop" else 1)
+
+
+class TestSharedSolves:
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    @pytest.mark.parametrize("solve", [spca_optimize, mode_switching_optimize],
+                             ids=lambda solve: solve.__name__)
+    def test_each_distinct_inner_problem_is_solved_once_per_call(self, solve, scheme,
+                                                                 monkeypatch):
+        """On the first `value_first_panels` case two starts meet: one call
+        runs `_pga` fewer times than its three loops' summed iterations and
+        never twice on one (objective, theta, start). The table lives one
+        call: a second identical call makes as many `_pga` and `rate_pair`
+        calls as the first, and leaves no reference cycle behind."""
+        solves, iterations, rates = [], [], []
+        pga, loop, rate_pair_ = spca._pga, spca._spca_loop, spca.rate_pair
+
+        def counted_pga(prob, objective, theta, beta0):
+            solves.append((objective, theta.tobytes(), beta0.tobytes()))
+            return pga(prob, objective, theta, beta0)
+
+        def counted_loop(*args):
+            result = loop(*args)
+            iterations.append(result.iterations)
+            return result
+
+        def counted_rate_pair(*args):
+            rates.append(args)
+            return rate_pair_(*args)
+        monkeypatch.setattr(spca, "_pga", counted_pga)
+        monkeypatch.setattr(spca, "_spca_loop", counted_loop)
+        monkeypatch.setattr(spca, "rate_pair", counted_rate_pair)
+        sc, ch = next(value_first_panels(solve))
+        counts = []
+        for _ in range(2):
+            iterations.clear()
+            gc.collect()
+            solve(ch, sc, scheme)
+            assert len(iterations) == 3
+            assert len(set(solves)) == len(solves) < sum(iterations)
+            counts.append((len(solves), len(rates)))
+            solves.clear()  # its keys hold bound methods of the call's problem
+            rates.clear()  # and its entries the call's channels
+            assert gc.collect() == 0
+        assert counts[0] == counts[1]
 
 
 class TestDeadElements:

@@ -1,11 +1,12 @@
 """Digest of every library output the benchmark's workloads produce.
 
 Usage:
-    python3 tools/output_digest.py --seed N
+    python3 tools/output_digest.py --seed N [--workload NAME ...]
 
 Runs each op of the library workloads (`panels-continuous`,
-`panels-binary`, `fairness-power`) of `perfbench/workloads.build_ops` for
-seed N once and prints one sha256 per workload over each op's `beta` bytes,
+`panels-binary`, `fairness-power`; `--workload`, which may repeat, picks
+some of them) of `perfbench/workloads.build_ops` for seed N once and
+prints one sha256 per workload over each op's `beta` bytes,
 rates, `converged`, `iterations`, `alpha` (time-sharing) and every trace
 entry's `objective`, `sum_rate`, `theta`, `u` and `v`. Two checkouts whose
 digests agree give bitwise the same outputs on those ops. Runs from any
@@ -63,8 +64,9 @@ def workload_digest(ops) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", action="append", choices=LIBRARY_WORKLOADS)
     args = parser.parse_args(argv)
-    for name in LIBRARY_WORKLOADS:
+    for name in args.workload or LIBRARY_WORKLOADS:
         ops = workloads.build_ops(name, args.seed)
         print(f"{name} {len(ops)} ops {workload_digest(ops)}", flush=True)
     return 0
