@@ -5,6 +5,10 @@ cover UE1 -> element -> AP (reflect side) and UE2 -> element -> AP (transmit
 side). Each relayed path uses the summed path length squared in the
 denominator and the AP-side field-of-view indicator. Emission-side angles
 beyond 90 degrees zero the gain (a Lambertian source emits nothing backwards).
+
+`channel_set` builds both gain vectors in one pass: the AP side (element
+distances, incidence cosines, field-of-view mask) and the Lambertian order
+and gain factor are computed once per build and shared by both UEs.
 """
 
 from __future__ import annotations
@@ -96,60 +100,68 @@ class ChannelSet:
     def element_count(self) -> int:
         return self.h_reflect.size
 
+    @property
+    def dead(self) -> np.ndarray:
+        """Mask of the dead elements, those with both gains 0."""
+        return (self.h_reflect == 0.0) & (self.h_transmit == 0.0)
+
     __eq__ = fieldwise_eq
 
 
-def _gain_factor(scenario: Scenario) -> float:
+def _lambertian(scenario: Scenario) -> tuple[float, float]:
+    """The source's Lambertian order m and the gain factor every path
+    carries, A (m + 1) / (2 pi) G."""
     m = scenario.source.order
     fe = scenario.front_end
-    return fe.area * (m + 1.0) / (2.0 * math.pi) * fe.gain
+    return m, fe.area * (m + 1.0) / (2.0 * math.pi) * fe.gain
 
 
 def h_los(scenario: Scenario) -> float:
     """LOS gain of the UE1 -> AP link."""
+    return _los_gain(scenario, *_lambertian(scenario))
+
+
+def _los_gain(scenario: Scenario, m: float, factor: float) -> float:
+    """`h_los` from the source's Lambertian order m and gain factor."""
     ue, ap = scenario.ue1, scenario.ap
     d = ap.position - ue.position
-    dist = float(np.linalg.norm(d))
+    dist = math.sqrt(float(d.dot(d)))  # np.linalg.norm(d), without the wrapper
     if dist == 0.0:
         raise ValueError("UE1 and AP coincide: degenerate geometry")
-    m = scenario.source.order
-    cos_phi = float(np.dot(d, ue.normal)) / dist
-    cos_psi = float(np.dot(-d, ap.normal)) / dist
+    cos_phi = float(d.dot(ue.normal)) / dist
+    cos_psi = float((-d).dot(ap.normal)) / dist
     fov = math.radians(scenario.front_end.fov_deg)
     if cos_phi <= 0.0 or cos_psi < math.cos(fov):
         return 0.0
-    return _gain_factor(scenario) / dist**2 * cos_phi**m * cos_psi
+    return factor / dist**2 * cos_phi**m * cos_psi
 
 
-def _relay_gains(scenario: Scenario, ue: OrientedPoint, elements: np.ndarray) -> np.ndarray:
-    """Vectorized relayed gain per element for one UE."""
-    ap = scenario.ap
-    m = scenario.source.order
-    to_elem = elements - ue.position[None, :]
-    d_ue = np.linalg.norm(to_elem, axis=1)
-    ap_to_elem = elements - ap.position[None, :]
-    d_ap = np.linalg.norm(ap_to_elem, axis=1)
-    if np.any(d_ue == 0.0) or np.any(d_ap == 0.0):
+def _relay_gains(scenario: Scenario, elements: np.ndarray, m: float,
+                 factor: float) -> list[np.ndarray]:
+    """Vectorized relayed gains per element, UE1's (reflect) and UE2's
+    (transmit); the AP side is computed once for both."""
+    points = (scenario.ap, scenario.ue1, scenario.ue2)
+    offsets = [elements - p.position for p in points]  # point -> element
+    # np.linalg.norm(v, axis=1) of a real array, without the wrapper: the same bits
+    dists = [np.sqrt(np.add.reduce(v * v, axis=1)) for v in offsets]
+    if not all(d.all() for d in dists):  # checked before any division
         raise ValueError("UE or AP coincides with a RIS element: degenerate geometry")
-    cos_phi = to_elem @ ue.normal / d_ue
-    cos_psi = ap_to_elem @ ap.normal / d_ap
-    fov = math.radians(scenario.front_end.fov_deg)
-    ok = (cos_phi > 0.0) & (cos_psi >= math.cos(fov))
-    gains = np.zeros(elements.shape[0])
-    gains[ok] = (
-        _gain_factor(scenario)
-        / (d_ue[ok] + d_ap[ok]) ** 2
-        * cos_phi[ok] ** m
-        * cos_psi[ok]
-    )
+    cos_psi = offsets[0] @ scenario.ap.normal / dists[0]
+    in_fov = cos_psi >= math.cos(math.radians(scenario.front_end.fov_deg))
+    gains = []
+    for k in (1, 2):
+        cos_phi = offsets[k] @ points[k].normal / dists[k]
+        ok = (cos_phi > 0.0) & in_fov
+        g = np.zeros(elements.shape[0])
+        g[ok] = factor / (dists[k][ok] + dists[0][ok]) ** 2 * cos_phi[ok] ** m * cos_psi[ok]
+        gains.append(g)
     return gains
 
 
 def channel_set(scenario: Scenario) -> ChannelSet:
     """Assemble the LOS gain and both per-element gain vectors."""
     elements = build_ris_grid(scenario.panel)
-    return ChannelSet(
-        h_los=h_los(scenario),
-        h_reflect=_relay_gains(scenario, scenario.ue1, elements),
-        h_transmit=_relay_gains(scenario, scenario.ue2, elements),
-    )
+    m, factor = _lambertian(scenario)
+    los = _los_gain(scenario, m, factor)
+    h_reflect, h_transmit = _relay_gains(scenario, elements, m, factor)
+    return ChannelSet(h_los=los, h_reflect=h_reflect, h_transmit=h_transmit)

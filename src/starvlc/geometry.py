@@ -34,7 +34,7 @@ def as_vec3(value) -> np.ndarray:
 
 
 def unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(float(v.dot(v)))  # np.linalg.norm(v) of a real vector, without the wrapper
     if n == 0.0:
         raise ValueError("cannot normalize a zero vector")
     return v / n
@@ -128,7 +128,8 @@ def panel_axes(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:
         row_axis = unit(z - float(np.dot(z, n)) * n)
     else:
         row_axis = unit(np.array([1.0, 0.0, 0.0]) - float(n[0]) * n)
-    col_axis = np.cross(row_axis, n)
+    (r0, r1, r2), (n0, n1, n2) = row_axis.tolist(), n.tolist()
+    col_axis = np.array([r1 * n2 - r2 * n1, r2 * n0 - r0 * n2, r0 * n1 - r1 * n0])  # row x n
     return col_axis, row_axis
 
 

@@ -127,7 +127,7 @@ class _ReducedProblem:
         self.ht_sum = float(self.ht.sum())
         self.scheme = scheme
         self.sic = scheme is DetectorScheme.SIC
-        self.dead = (self.hr == 0.0) & (self.ht == 0.0)
+        self.dead = channels.dead
         self.channels = channels
         self.scenario = scenario
         self.table: dict = {}
@@ -321,6 +321,7 @@ def solve_subproblem(theta, channels: ChannelSet, scenario: Scenario,
 
 def _spca_loop(prob: _ReducedProblem, objective, beta0: float) -> SpcaResult:
     theta = np.full(2, SETTINGS.theta_init)
+    tolerance = SETTINGS.tolerance
     beta = _start(prob, beta0)
     trace: list[TraceEntry] = []
     converged = False
@@ -336,12 +337,11 @@ def _spca_loop(prob: _ReducedProblem, objective, beta0: float) -> SpcaResult:
         uv = u.tolist() + v.tolist()
         trace.append(TraceEntry(objective=value, sum_rate=rate(uv[0]) + rate(uv[1]),
                                 state=SurrogateState(theta=theta, u=u, v=v)))
-        if len(trace) > 1:
-            delta = max(np.abs(beta - prev_beta).max(initial=0.0),
-                        *(abs(now - was) for now, was in zip(uv, prev_uv)))
-            if delta < SETTINGS.tolerance:
-                converged = True
-                break
+        # the beta move is formed only when the u and v moves pass
+        if (len(trace) > 1 and max(abs(now - was) for now, was in zip(uv, prev_uv)) < tolerance
+                and np.abs(beta - prev_beta).max(initial=0.0) < tolerance):
+            converged = True
+            break
         prev_uv = uv
         theta = np.array([t if uk <= 0.0 or vk < 1e-30 else math.sqrt(uk) / vk
                           for t, uk, vk in zip(theta.tolist(), uv[:2], uv[2:])])
@@ -418,7 +418,7 @@ def time_sharing_optimize(channels: ChannelSet, scenario: Scenario,
     h_los (dead elements stay at 1). No iteration runs.
     """
     beta1 = np.ones(channels.element_count)
-    beta2 = np.where((channels.h_reflect == 0.0) & (channels.h_transmit == 0.0), 1.0, 0.0)
+    beta2 = np.where(channels.dead, 1.0, 0.0)
     rates1, rates2 = (rate_pair(channels, b, scenario, scheme) for b in (beta1, beta2))
     beta, rates, alpha = (beta1, rates1, 1.0) if rates1.r1 >= rates2.r2 else (beta2, rates2, 0.0)
     return SpcaResult(beta, rates, trace=[], converged=True, iterations=0, alpha=alpha)

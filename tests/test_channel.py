@@ -1,12 +1,16 @@
 import copy
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from starvlc import (
     ChannelSet,
+    LambertianSource,
     OpticalFrontEnd,
     OrientedPoint,
     RisPanel,
@@ -15,6 +19,7 @@ from starvlc import (
     channel_set,
     h_los,
 )
+from starvlc.geometry import unit
 from util import random_scenario, reference_scenario
 
 
@@ -180,6 +185,224 @@ class TestChannelSet:
         ch = channel_set(sc)
         assert ch.element_count == 0
         assert ch.h_los > 0.0
+
+
+def reference_gain_factor(scenario: Scenario) -> float:
+    """`channel._gain_factor` before the one-pass build, kept verbatim."""
+    m = scenario.source.order
+    fe = scenario.front_end
+    return fe.area * (m + 1.0) / (2.0 * math.pi) * fe.gain
+
+
+def reference_h_los(scenario: Scenario) -> float:
+    """`channel.h_los` before the one-pass build, kept verbatim but for
+    `reference_gain_factor`."""
+    ue, ap = scenario.ue1, scenario.ap
+    d = ap.position - ue.position
+    dist = float(np.linalg.norm(d))
+    if dist == 0.0:
+        raise ValueError("UE1 and AP coincide: degenerate geometry")
+    m = scenario.source.order
+    cos_phi = float(np.dot(d, ue.normal)) / dist
+    cos_psi = float(np.dot(-d, ap.normal)) / dist
+    fov = math.radians(scenario.front_end.fov_deg)
+    if cos_phi <= 0.0 or cos_psi < math.cos(fov):
+        return 0.0
+    return reference_gain_factor(scenario) / dist**2 * cos_phi**m * cos_psi
+
+
+def reference_relay_gains(scenario: Scenario, ue: OrientedPoint,
+                          elements: np.ndarray) -> np.ndarray:
+    """`channel._relay_gains` before the one-pass build, kept verbatim but
+    for `reference_gain_factor`: one UE per call, the AP side recomputed
+    each time."""
+    ap = scenario.ap
+    m = scenario.source.order
+    to_elem = elements - ue.position[None, :]
+    d_ue = np.linalg.norm(to_elem, axis=1)
+    ap_to_elem = elements - ap.position[None, :]
+    d_ap = np.linalg.norm(ap_to_elem, axis=1)
+    if np.any(d_ue == 0.0) or np.any(d_ap == 0.0):
+        raise ValueError("UE or AP coincides with a RIS element: degenerate geometry")
+    cos_phi = to_elem @ ue.normal / d_ue
+    cos_psi = ap_to_elem @ ap.normal / d_ap
+    fov = math.radians(scenario.front_end.fov_deg)
+    ok = (cos_phi > 0.0) & (cos_psi >= math.cos(fov))
+    gains = np.zeros(elements.shape[0])
+    gains[ok] = (
+        reference_gain_factor(scenario)
+        / (d_ue[ok] + d_ap[ok]) ** 2
+        * cos_phi[ok] ** m
+        * cos_psi[ok]
+    )
+    return gains
+
+
+def reference_unit(v: np.ndarray) -> np.ndarray:
+    """`geometry.unit` before the one-pass build, kept verbatim."""
+    n = float(np.linalg.norm(v))
+    if n == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    return v / n
+
+
+def reference_panel_axes(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:
+    """`geometry.panel_axes` before the one-pass build, kept verbatim but for
+    `reference_unit`: the column axis from `np.cross`."""
+    n = panel.normal
+    z = np.array([0.0, 0.0, 1.0])
+    if abs(float(np.dot(n, z))) < 1.0 - 1e-12:
+        row_axis = reference_unit(z - float(np.dot(z, n)) * n)
+    else:
+        row_axis = reference_unit(np.array([1.0, 0.0, 0.0]) - float(n[0]) * n)
+    col_axis = np.cross(row_axis, n)
+    return col_axis, row_axis
+
+
+def reference_build_ris_grid(panel: RisPanel) -> np.ndarray:
+    """`geometry.build_ris_grid` before the one-pass build, kept verbatim but
+    for `reference_panel_axes`: a C-ordered (rows*cols, 3) array."""
+    col_axis, row_axis = reference_panel_axes(panel)
+    col_off = (np.arange(panel.cols) - (panel.cols - 1) / 2.0) * panel.pitch
+    row_off = (np.arange(panel.rows) - (panel.rows - 1) / 2.0) * panel.pitch
+    pts = (
+        panel.center[None, None, :]
+        + row_off[:, None, None] * row_axis[None, None, :]
+        + col_off[None, :, None] * col_axis[None, None, :]
+    )
+    return pts.reshape(panel.rows * panel.cols, 3)
+
+
+def reference_channel_set(scenario: Scenario) -> ChannelSet:
+    """`channel.channel_set` before the one-pass build, kept verbatim but for
+    the reference helpers above."""
+    elements = reference_build_ris_grid(scenario.panel)
+    return ChannelSet(
+        h_los=reference_h_los(scenario),
+        h_reflect=reference_relay_gains(scenario, scenario.ue1, elements),
+        h_transmit=reference_relay_gains(scenario, scenario.ue2, elements),
+    )
+
+
+def assert_same_channels(scenario):
+    """`channel_set` gives bitwise the two-pass build's gains, and
+    `build_ris_grid` its element positions."""
+    new, ref = channel_set(scenario), reference_channel_set(scenario)
+    assert np.float64(new.h_los).tobytes() == np.float64(ref.h_los).tobytes()
+    assert new.h_reflect.tobytes() == ref.h_reflect.tobytes()
+    assert new.h_transmit.tobytes() == ref.h_transmit.tobytes()
+    grid, ref_grid = build_ris_grid(scenario.panel), reference_build_ris_grid(scenario.panel)
+    assert grid.shape == ref_grid.shape and grid.tobytes() == ref_grid.tobytes()
+    return new
+
+
+def facing(draw, toward):
+    """A unit facing direction: `toward` the panel (most often), straight up
+    or down, or any direction."""
+    kind = draw(st.sampled_from(["toward", "toward", "up", "down", "any"]))
+    if kind == "any":
+        v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+        assume(np.linalg.norm(v) > 0.1)
+        return unit(v)
+    return {"up": np.array([0.0, 0.0, 1.0]), "down": np.array([0.0, 0.0, -1.0]),
+            "toward": toward}[kind]
+
+
+@st.composite
+def scenarios(draw):
+    """Scenarios with the panel in a wall (horizontal normal), a ceiling or
+    floor (vertical normal) or tilted; 0 to 5 rows and columns; the AP and
+    UE1 on one side and UE2 on the other, 5 cm to 3 m off the plane, each
+    facing the panel or elsewhere; a FOV of 5 to 90 degrees."""
+    kind = draw(st.sampled_from(["wall", "ceiling", "tilted"]))
+    if kind == "wall":
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        normal = np.array([math.cos(angle), math.sin(angle), 0.0])
+    elif kind == "ceiling":
+        normal = np.array([0.0, 0.0, draw(st.sampled_from([1.0, -1.0]))])
+    else:
+        normal = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+        assume(np.linalg.norm(normal) > 0.1)
+    center = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3)))
+    panel = RisPanel(center=center, rows=draw(st.integers(0, 5)), cols=draw(st.integers(0, 5)),
+                     pitch=draw(st.floats(0.05, 0.5)), normal=normal)
+    n = panel.normal
+    ap_side = draw(st.sampled_from([1.0, -1.0]))
+
+    def point(side):
+        r = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)))
+        position = center + (r - float(np.dot(r, n)) * n) + side * draw(st.floats(0.05, 3.0)) * n
+        return OrientedPoint(position, facing(draw, -side * n))
+    ap, ue1, ue2 = point(ap_side), point(ap_side), point(-ap_side)
+    assume(np.linalg.norm(ap.position - ue1.position) > 1e-3)  # h_los rejects coinciding points
+    return Scenario(ap=ap, ue1=ue1, ue2=ue2,
+                    source=LambertianSource(draw(st.floats(5.0, 85.0))), panel=panel,
+                    front_end=OpticalFrontEnd(fov_deg=draw(st.floats(5.0, 90.0))))
+
+
+def ceiling_scenario():
+    """A panel in the ceiling between the rooms, facing up: the AP and UE1
+    above it, UE1 facing down at it; UE2 below it facing up."""
+    sc = reference_scenario()
+    return replace(sc, panel=replace(sc.panel, center=np.array([5.0, 2.5, 2.0]),
+                                     normal=np.array([0.0, 0.0, 1.0])),
+                   ue1=OrientedPoint([3.5, 2.5, 2.5], [0.0, 0.0, -1.0]),
+                   ue2=OrientedPoint([6.0, 2.5, 1.0], [0.0, 0.0, 1.0]))
+
+
+class TestOnePassBuild:
+    """The one-pass build gives bitwise the gains of the two-pass build it
+    replaced (`reference_channel_set`)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenarios())
+    def test_drawn_scenarios_match_the_two_pass_build(self, sc):
+        assert_same_channels(sc)
+
+    def test_wall_panel(self):
+        ch = assert_same_channels(reference_scenario())
+        assert np.all(ch.h_reflect > 0.0) and np.all(ch.h_transmit > 0.0)
+
+    def test_ceiling_panel(self):
+        ch = assert_same_channels(ceiling_scenario())
+        assert np.any(ch.h_reflect > 0.0) and np.any(ch.h_transmit > 0.0)
+
+    def test_elements_outside_the_fov(self):
+        """At a 20 degree FOV some elements are seen by both UEs but lie
+        outside the AP's field of view; both gains are 0 there."""
+        sc = reference_scenario()
+        sc = replace(sc, front_end=replace(sc.front_end, fov_deg=20.0))
+        ch = assert_same_channels(sc)
+        assert np.any(ch.dead) and np.any(ch.h_reflect > 0.0)
+        assert np.array_equal(ch.h_reflect == 0.0, ch.h_transmit == 0.0)
+
+    def test_elements_behind_a_ue(self):
+        """A panel across the UEs' plane: its lower rows are behind both
+        up-facing UEs, so they relay nothing."""
+        sc = reference_scenario()
+        sc = replace(sc, panel=replace(sc.panel, center=np.array([5.0, 2.5, 1.0])))
+        ch = assert_same_channels(sc)
+        below = build_ris_grid(sc.panel)[:, 2] < 1.0
+        assert np.any(below) and np.all(ch.dead[below]) and not np.any(ch.dead[~below])
+
+    def test_empty_panel(self):
+        sc = reference_scenario()
+        ch = assert_same_channels(replace(sc, panel=replace(sc.panel, cols=0)))
+        assert ch.element_count == 0
+
+    @pytest.mark.parametrize("point", ["ap", "ue1", "ue2"])
+    def test_a_point_on_an_element_raises_with_no_warning(self, point):
+        """A UE or the AP on element 4 of a 2 x 3 panel is rejected before
+        any division by its zero distance, so no RuntimeWarning comes first."""
+        sc = reference_scenario()
+        sc = replace(sc, panel=replace(sc.panel, rows=2, cols=3))
+        on_element = OrientedPoint(build_ris_grid(sc.panel)[4], getattr(sc, point).normal)
+        sc = replace(sc, **{point: on_element})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="coincides with a RIS element"):
+                channel_set(sc)
+        assert caught == []
 
 
 class TestScenarioValidation:

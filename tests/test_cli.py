@@ -354,6 +354,52 @@ class TestModes:
         assert manifest["mode"] == mode
         assert "objective" not in manifest
 
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    @pytest.mark.parametrize("p2, alpha", [(0.1, 0.0), (0.01, 1.0)])
+    def test_timeshare_rows_report_the_served_rates(self, tmp_path, capsys, scheme, p2,
+                                                    alpha):
+        """A timeshare `solve` writes and prints the rates it serves. At
+        alpha = 0 (the default scenario) that is r1 = 0.0 and sum_rate = r2
+        where the rate pair at beta counts user 1's LOS rate too; at alpha = 1
+        (user 2 at 10 mW) the row is the rate pair unchanged, whose r2 is 0."""
+        sc = replace(default_scenario(), p2=p2)
+        ch = channel_set(sc)
+        result = time_sharing_optimize(ch, sc, scheme)
+        assert result.alpha == alpha
+        cfg = tmp_path / "scenario.txt"
+        write_scenario(sc, cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(cfg), "--scheme", scheme.value,
+                     "--mode", "timeshare", "--out", str(out)]) == 0
+        rates = result.rates
+        r1, r2, total, ee = [float(v) for v in read_csv(out / "solution.csv")[1][:4]]
+        if alpha == 0.0:
+            assert rates.r1 > 0.0
+            assert (r1, r2, total) == (0.0, rates.r2, rates.r2)
+            assert ee == rates.r2 / (sc.p1 + sc.p2)
+        else:
+            assert rates.r2 == 0.0
+            assert (r1, r2, total, ee) == (rates.r1, 0.0, rates.sum, rates.energy_efficiency)
+        assert capsys.readouterr().out.startswith(f"r1={r1:.6f} r2={r2:.6f} sum={total:.6f} ")
+
+    def test_timeshare_sweep_gap_is_from_the_served_sum(self, tmp_path):
+        """A timeshare sweep's `oracle_gap` is the exact optimum minus the
+        served sum its row writes; on the default scenario's power sweep
+        time-sharing serves user 2 at every point."""
+        spec_file = tmp_path / "sweep.txt"
+        spec_file.write_text("sweep.parameter = power_both\nsweep.start = 0.01\n"
+                             "sweep.stop = 0.05\nsweep.steps = 3\nsweep.mode = timeshare\n"
+                             "sweep.oracle_check = True\n")
+        out = tmp_path / "out"
+        assert main(["sweep", str(spec_file), "--out", str(out)]) == 0
+        header, *rows = read_csv(out / "sweep.csv")
+        for row in rows:
+            values = dict(zip(header, row))
+            assert float(values["r1"]) == 0.0
+            assert float(values["sum_rate"]) == float(values["r2"]) > 0.0
+            assert float(values["oracle_gap"]) == \
+                float(values["oracle_sum"]) - float(values["sum_rate"])
+
     def test_sweep_mode_flag_overrides_the_spec(self, tmp_path):
         spec_file = tmp_path / "sweep.txt"
         spec_file.write_text("sweep.parameter = power_both\nsweep.start = 0.01\n"

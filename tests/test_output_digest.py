@@ -36,6 +36,29 @@ def test_digest_repeats_and_sees_a_last_bit(monkeypatch):
     assert tool.workload_digest(ops) != first
 
 
+def test_channel_digest_sees_a_last_bit_of_a_relayed_gain(monkeypatch):
+    """Moving one `h_reflect` entry of one op's channel set by one ulp
+    changes the channel digest and leaves the output digest as it is."""
+    tool = load_tool()
+    ops = tool.workloads.build_ops("panels-continuous", 1, small=True)
+    outputs, channels = tool.workload_digests(ops)
+    assert len(channels) == 64 and channels != outputs
+    target = ops[len(ops) // 2]
+    run = tool.workloads.run_library
+
+    def nudged(op, api):
+        ch, result = run(op, api)
+        if op is target:
+            h_reflect = ch.h_reflect.copy()
+            i = int(np.flatnonzero(h_reflect)[0])
+            h_reflect[i] = np.nextafter(h_reflect[i], np.inf)
+            ch = replace(ch, h_reflect=h_reflect)
+        return ch, result
+    monkeypatch.setattr(tool.workloads, "run_library", nudged)
+    nudged_outputs, nudged_channels = tool.workload_digests(ops)
+    assert nudged_outputs == outputs and nudged_channels != channels
+
+
 def test_workload_option_picks_one_workload(monkeypatch, capsys):
     """`--workload fairness-power` prints only that workload's line."""
     tool = load_tool()

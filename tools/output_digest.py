@@ -6,12 +6,17 @@ Usage:
 Runs each op of the library workloads (`panels-continuous`,
 `panels-binary`, `fairness-power`; `--workload`, which may repeat, picks
 some of them) of `perfbench/workloads.build_ops` for seed N once and
-prints one sha256 per workload over each op's `beta` bytes,
-rates, `converged`, `iterations`, `alpha` (time-sharing) and every trace
-entry's `objective`, `sum_rate`, `theta`, `u` and `v`. Two checkouts whose
-digests agree give bitwise the same outputs on those ops. Runs from any
-directory of a checkout; it imports starvlc from `src/` and the workloads
-from `perfbench/` and changes nothing there.
+prints one line per workload:
+
+    NAME OPS ops OUTPUTS channels CHANNELS
+
+OUTPUTS is a sha256 over each op's `beta` bytes, rates, `converged`,
+`iterations`, `alpha` (time-sharing) and every trace entry's `objective`,
+`sum_rate`, `theta`, `u` and `v`; CHANNELS is a sha256 over each op's
+`ChannelSet` (`h_los`, `h_reflect` and `h_transmit`). Two checkouts whose
+digests agree give bitwise the same channels and outputs on those ops. Runs
+from any directory of a checkout; it imports starvlc from `src/` and the
+workloads from `perfbench/` and changes nothing there.
 """
 
 from __future__ import annotations
@@ -51,14 +56,21 @@ def result_digest(h, result) -> None:
               entry.state.v)
 
 
+def workload_digests(ops) -> tuple[str, str]:
+    """sha256 over the outputs of `ops` and sha256 over their channel sets,
+    in order."""
+    api = workloads.library_api()
+    outputs, channel_sets = hashlib.sha256(), hashlib.sha256()
+    for op in ops:
+        channels, result = workloads.run_library(op, api)
+        result_digest(outputs, result)
+        _feed(channel_sets, channels.h_los, channels.h_reflect, channels.h_transmit)
+    return outputs.hexdigest(), channel_sets.hexdigest()
+
+
 def workload_digest(ops) -> str:
     """sha256 over the outputs of `ops`, in order."""
-    api = workloads.library_api()
-    h = hashlib.sha256()
-    for op in ops:
-        _, result = workloads.run_library(op, api)
-        result_digest(h, result)
-    return h.hexdigest()
+    return workload_digests(ops)[0]
 
 
 def main(argv=None) -> int:
@@ -68,7 +80,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for name in args.workload or LIBRARY_WORKLOADS:
         ops = workloads.build_ops(name, args.seed)
-        print(f"{name} {len(ops)} ops {workload_digest(ops)}", flush=True)
+        outputs, channel_sets = workload_digests(ops)
+        print(f"{name} {len(ops)} ops {outputs} channels {channel_sets}", flush=True)
     return 0
 
 
