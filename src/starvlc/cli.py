@@ -341,19 +341,6 @@ RESULT_HEADER = ["r1", "r2", "sum_rate", "ee", "iters", "converged"]
 SWEEP_HEADER = ["swept_value", *RESULT_HEADER, "oracle_sum", "oracle_gap"]
 
 
-def served_rates(result, scenario: Scenario) -> RatePair:
-    """The rates a solver result delivers. Time-sharing serves user 1 a share
-    `alpha` of the time and user 2 the rest, so it delivers alpha * r1 and
-    (1 - alpha) * r2 of the rate pair at its `beta`; another result delivers
-    its `rates`."""
-    rates, alpha = result.rates, result.alpha
-    if alpha is None:
-        return rates
-    r1, r2 = alpha * rates.r1, (1.0 - alpha) * rates.r2
-    total_power = scenario.p1 + scenario.p2
-    return RatePair(r1, r2, r1 + r2, (r1 + r2) / total_power if total_power > 0.0 else None)
-
-
 def _result_row(rates: RatePair, result) -> list:
     """A solver result and the rates it delivers as the RESULT_HEADER columns."""
     ee = "" if rates.energy_efficiency is None else repr(rates.energy_efficiency)
@@ -391,7 +378,7 @@ def run_sweep(spec: SweepSpec, out_dir) -> bool:
         result = _solve(ch, scenario, spec.scheme, spec.mode)
         elapsed = time.perf_counter() - t0
         all_converged = all_converged and result.converged
-        rates = served_rates(result, scenario)
+        rates = result.served_rates(scenario)
         oracle = ["", ""]
         if spec.oracle_check:
             best = vertex_enumerate(ch, scenario, spec.scheme).best_rates.sum
@@ -453,7 +440,7 @@ def _single_scenario(args):
 def _cmd_solve(args) -> int:
     scenario, ch, scheme = _single_scenario(args)
     result = _solve(ch, scenario, scheme, args.mode)
-    rates, iters, converged = served_rates(result, scenario), result.iterations, result.converged
+    rates, iters, converged = result.served_rates(scenario), result.iterations, result.converged
     out = Path(args.out)
     _write_csv(out / "solution.csv", [RESULT_HEADER, _result_row(rates, result)])
     if scenario.panel.element_count:

@@ -38,6 +38,12 @@ class RatePair:
     energy_efficiency: float | None
 
 
+def pair_from_rates(r1: float, r2: float, scenario: Scenario) -> RatePair:
+    """(r1, r2) with their sum and energy efficiency: the one RatePair builder."""
+    total_power = scenario.p1 + scenario.p2
+    return RatePair(r1, r2, r1 + r2, (r1 + r2) / total_power if total_power > 0.0 else None)
+
+
 def validate_beta(beta, n: int) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (n,):
@@ -84,11 +90,7 @@ def rates_from_gains(h1: float, h2: float, scenario: Scenario,
     """Both users' rates, sum-rate and energy efficiency for effective gains
     (H1, H2). Every rate depends on `beta` only through these two scalars."""
     s1, s2 = sinr_from_gains(h1, h2, scenario, scheme)
-    r1 = rate(s1)
-    r2 = rate(s2)
-    total_power = scenario.p1 + scenario.p2
-    ee = (r1 + r2) / total_power if total_power > 0.0 else None
-    return RatePair(r1=r1, r2=r2, sum=r1 + r2, energy_efficiency=ee)
+    return pair_from_rates(rate(s1), rate(s2), scenario)
 
 
 def rate_pair(channels: ChannelSet, beta, scenario: Scenario, scheme: DetectorScheme) -> RatePair:

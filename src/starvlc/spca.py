@@ -28,9 +28,9 @@ one `terms` call: the auxiliaries are recovered as v_k = sqrt(V_k^2) and
 u_k = (A_k / v_k)^2, the exact SINR, whose rates give the trace's sum-rate,
 and theta_k = sqrt(u_k) / v_k. V_k^2 >= min(1, sigma^2) > 0, so v_k > 0;
 a user keeps its previous theta_k where u_k = 0 (a dead channel) or
-v_k < 1e-30. A multistart solves each distinct inner problem (objective,
-theta, start) once: its starts often reach the same iterate under the same
-theta and then share that solve and the exact rates (`_ReducedProblem.once`).
+v_k < 1e-30. A multistart solves each distinct inner problem (theta, start)
+of its one objective once: its starts often reach the same iterate under the
+same theta and share that solve and the exact rates (`_ReducedProblem.once`).
 
 Every solver runs with one fixed set of settings, `SETTINGS`; none takes
 settings as an argument.
@@ -50,6 +50,7 @@ from .link import (
     DetectorScheme,
     RatePair,
     effective_channels,
+    pair_from_rates,
     rate,
     rate_pair,
     rates_from_gains,
@@ -106,6 +107,15 @@ class SpcaResult:
     converged: bool
     iterations: int
     alpha: float | None = None
+
+    def served_rates(self, scenario: Scenario) -> RatePair:
+        """The rates delivered: time-sharing serves user 1 a share `alpha` of
+        the time and user 2 the rest, so alpha * r1 and (1 - alpha) * r2 of
+        `rates` at its `beta`; another solver delivers `rates`."""
+        alpha = self.alpha
+        if alpha is None:
+            return self.rates
+        return pair_from_rates(alpha * self.rates.r1, (1.0 - alpha) * self.rates.r2, scenario)
 
 
 class _ReducedProblem:
@@ -328,7 +338,7 @@ def _spca_loop(prob: _ReducedProblem, objective, beta0: float) -> SpcaResult:
     inner_ok = True
     for _m in range(SETTINGS.max_outer_iterations):
         prev_beta = beta
-        beta, value, ok = prob.once((objective, theta.tobytes(), beta.tobytes()),
+        beta, value, ok = prob.once((theta.tobytes(), beta.tobytes()),
                                     lambda: _pga(prob, objective, theta, prev_beta))
         inner_ok = inner_ok and ok
         a, v2 = prob.terms(beta)
@@ -358,10 +368,10 @@ def _spca_multistart(prob: _ReducedProblem, objective, score) -> SpcaResult:
 
     The sum-rate landscape splits into a serve-user-1 and a serve-user-2
     basin; a single local ascent from the midpoint can settle in the wrong
-    one, so the all-reflect and all-transmit starts cover both.
+    one, so the all-reflect and all-transmit starts cover both. The loops
+    share `prob.table`, keyed by (theta, start): `prob` serves one objective.
     """
     results = [_spca_loop(prob, objective, beta0) for beta0 in (SETTINGS.beta_init, 0.0, 1.0)]
-    prob.table.clear()  # its keys hold `objective`, whose reference to `prob` makes a cycle
     return max(results, key=lambda result: score(result.rates))
 
 

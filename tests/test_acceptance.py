@@ -155,7 +155,7 @@ def test_criterion_5_energy_efficiency_shape():
             mm = max_min_optimize(ch, scp, scheme)
             maxmin_ok = maxmin_ok and mm.rates.sum <= res.rates.sum + 1e-6
         ts = time_sharing_optimize(ch, scp, DetectorScheme.SUD)
-        served = ts.rates.r1 if ts.alpha == 1.0 else ts.rates.r2
+        served = ts.served_rates(scp).sum
         ts_gap = max(ts_gap, abs(served - sums[DetectorScheme.SUD]))
         ts_bounded = ts_bounded and served <= sums[DetectorScheme.SUD] + 1e-9
 
@@ -207,7 +207,7 @@ def test_criterion_7_endpoint_optimality_scans():
                                         center=np.array([5.0, 2.5, 1.0]),
                                         pitch=1.0))
     dead_ch = channel_set(dead_sc)
-    dead = np.flatnonzero((dead_ch.h_reflect == 0.0) & (dead_ch.h_transmit == 0.0))
+    dead = np.flatnonzero(dead_ch.dead)
     dead_vals, _ = coordinate_scan(dead_ch, dead_sc, DetectorScheme.SIC,
                                    np.full(dead_ch.element_count, 0.5))
     flat = dead.size > 0 and all(np.ptp(dead_vals[i]) == 0.0 for i in dead)

@@ -1007,14 +1007,15 @@ class TestSharedSolves:
                                                                  monkeypatch):
         """On the first `value_first_panels` case two starts meet: one call
         runs `_pga` fewer times than its three loops' summed iterations and
-        never twice on one (objective, theta, start). The table lives one
-        call: a second identical call makes as many `_pga` and `rate_pair`
-        calls as the first, and leaves no reference cycle behind."""
+        never twice on one (theta, start), the table's key, as each call's
+        problem serves one objective. The table lives one call: a second
+        identical call makes as many `_pga` and `rate_pair` calls as the
+        first, and leaves no reference cycle behind with no explicit clear."""
         solves, iterations, rates = [], [], []
         pga, loop, rate_pair_ = spca._pga, spca._spca_loop, spca.rate_pair
 
         def counted_pga(prob, objective, theta, beta0):
-            solves.append((objective, theta.tobytes(), beta0.tobytes()))
+            solves.append((theta.tobytes(), beta0.tobytes()))
             return pga(prob, objective, theta, beta0)
 
         def counted_loop(*args):
@@ -1037,8 +1038,8 @@ class TestSharedSolves:
             assert len(iterations) == 3
             assert len(set(solves)) == len(solves) < sum(iterations)
             counts.append((len(solves), len(rates)))
-            solves.clear()  # its keys hold bound methods of the call's problem
-            rates.clear()  # and its entries the call's channels
+            solves.clear()
+            rates.clear()
             assert gc.collect() == 0
         assert counts[0] == counts[1]
 
@@ -1140,6 +1141,44 @@ class TestTimeSharing:
         np.testing.assert_array_equal(res.beta, np.ones(3))
         assert res.rates.r2 == 0.0
         assert res.rates.sum == res.rates.r1
+
+
+class TestServedRates:
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    @pytest.mark.parametrize("solve", SPCA_SOLVERS, ids=lambda solve: solve.__name__)
+    def test_spca_solvers_deliver_their_rates(self, solve, scheme):
+        sc, ch = small_setup(seed=3)
+        result = solve(ch, sc, scheme)
+        assert result.alpha is None
+        assert result.served_rates(sc) is result.rates
+
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_time_sharing_delivers_its_share(self, scheme):
+        """At alpha = 0 (user 2 at 100 mW) and alpha = 1 (at 10 mW) the served
+        pair is bitwise alpha * r1, (1 - alpha) * r2 of the rate pair at beta,
+        their sum and that sum over the total power."""
+        alphas = []
+        for p2 in (0.1, 0.01):
+            sc = replace(reference_scenario(), p2=p2)
+            result = time_sharing_optimize(channel_set(sc), sc, scheme)
+            alpha, rates = result.alpha, result.rates
+            r1, r2 = alpha * rates.r1, (1.0 - alpha) * rates.r2
+            served = result.served_rates(sc)
+            assert np.array([served.r1, served.r2, served.sum, served.energy_efficiency]
+                            ).tobytes() == \
+                np.array([r1, r2, r1 + r2, (r1 + r2) / (sc.p1 + sc.p2)]).tobytes()
+            alphas.append(alpha)
+        assert alphas == [0.0, 1.0]
+
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_time_sharing_efficiency_is_none_at_zero_power(self, scheme):
+        """At p1 = p2 = 0 both rates are 0 and the efficiency is 0/0."""
+        sc = replace(reference_scenario(), p1=0.0, p2=0.0)
+        result = time_sharing_optimize(channel_set(sc), sc, scheme)
+        assert result.alpha is not None
+        served = result.served_rates(sc)
+        assert (served.r1, served.r2, served.sum, served.energy_efficiency) == \
+            (0.0, 0.0, 0.0, None)
 
 
 class TestMaxMin:
