@@ -100,8 +100,8 @@ def parse_kv_file(path) -> dict:
         lines[key] = lineno
         try:
             entries[key] = ast.literal_eval(value)
-        except (ValueError, TypeError, SyntaxError):
-            entries[key] = value  # bare string, e.g. scheme names
+        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+            entries[key] = value  # bare string, e.g. scheme names, or nested too deep
     return entries
 
 

@@ -28,7 +28,8 @@ one `terms` call: the auxiliaries are recovered as v_k = sqrt(V_k^2) and
 u_k = (A_k / v_k)^2, the exact SINR, whose rates give the trace's sum-rate,
 and theta_k = sqrt(u_k) / v_k. V_k^2 >= min(1, sigma^2) > 0, so v_k > 0;
 a user keeps its previous theta_k where u_k = 0 (a dead channel) or
-v_k < 1e-30. A multistart solves each distinct inner problem (theta, start)
+v_k < 1e-30. theta, u and v are float pairs; a result's `iterations` is its
+trace's length. A multistart solves each distinct inner problem (theta, start)
 of its one objective once: its starts often reach the same iterate under the
 same theta and share that solve and the exact rates (`_ReducedProblem.once`).
 
@@ -81,11 +82,11 @@ SETTINGS = SpcaConfig()
 
 @dataclass(frozen=True)
 class SurrogateState:
-    """Per-user surrogate parameters and recovered auxiliary values."""
+    """Surrogate parameters and recovered auxiliaries, each a float pair (user 1, user 2)."""
 
-    theta: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
+    theta: tuple[float, float]
+    u: tuple[float, float]
+    v: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,12 @@ class SpcaResult:
     rates: RatePair
     trace: list[TraceEntry]
     converged: bool
-    iterations: int
     alpha: float | None = None
+
+    @property
+    def iterations(self) -> int:
+        """Outer iterations run: one trace entry each (0 for time-sharing)."""
+        return len(self.trace)
 
     def served_rates(self, scenario: Scenario) -> RatePair:
         """The rates delivered: time-sharing serves user 1 a share `alpha` of
@@ -153,26 +158,22 @@ class _ReducedProblem:
         h2 = self.ht_sum - float(beta.dot(self.ht))
         return h1, h2
 
-    def terms(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Signal terms A and interference-norm squares V^2, per user."""
+    def terms(self, beta: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Signal terms (A1, A2) and interference-norm squares (V1^2, V2^2)."""
         h1, h2 = self.gains(beta)
         g1 = self.a1 * h1
         g2 = self.a2 * h2
         if self.sic:
-            a = np.array([g1 / self.sigma, g2])
-            v2 = np.array([1.0, g1 * g1 + self.sigma2])
-        else:
-            a = np.array([g1, g2])
-            v2 = np.array([g2 * g2 + self.sigma2, g1 * g1 + self.sigma2])
-        return a, v2
+            return (g1 / self.sigma, g2), (1.0, g1 * g1 + self.sigma2)
+        return (g1, g2), (g2 * g2 + self.sigma2, g1 * g1 + self.sigma2)
 
-    def user_values(self, beta: np.ndarray, theta: np.ndarray):
+    def user_values(self, beta: np.ndarray, theta):
         """Per user k, (value, dvalue/dg1, dvalue/dg2) of 0.5 * log2(1 + c * u_k),
         where g_k = rho * p_k * H_k; all three are 0 where u_k <= 0."""
         h1, h2 = self.gains(beta)
         g1 = self.a1 * h1
         g2 = self.a2 * h2
-        t1, t2 = theta.tolist()
+        t1, t2 = theta
         if self.sic:  # A1 = g1 / sigma, V1^2 = 1
             u1 = 2.0 * t1 * (g1 / self.sigma) - t1 * t1
             du1 = (2.0 * t1 / self.sigma, 0.0)
@@ -184,12 +185,12 @@ class _ReducedProblem:
         du2 = (-2.0 * t2 * t2 * g1, 2.0 * t2)
         return _rate_and_slopes(u1, du1), _rate_and_slopes(u2, du2)
 
-    def value_slopes(self, beta: np.ndarray, theta: np.ndarray) -> tuple[float, float, float]:
+    def value_slopes(self, beta: np.ndarray, theta) -> tuple[float, float, float]:
         """Sum objective and its slopes (dF/dg1, dF/dg2)."""
         (f1, x1, y1), (f2, x2, y2) = self.user_values(beta, theta)
         return f1 + f2, x1 + x2, y1 + y2
 
-    def min_value_slopes(self, beta: np.ndarray, theta: np.ndarray) -> tuple[float, float, float]:
+    def min_value_slopes(self, beta: np.ndarray, theta) -> tuple[float, float, float]:
         """Pointwise-min objective and a subgradient's slopes (max-min fairness)."""
         (f1, x1, y1), (f2, x2, y2) = self.user_values(beta, theta)
         if abs(f1 - f2) < 1e-15:
@@ -232,19 +233,17 @@ def _rate_and_slopes(u: float, du: tuple[float, float]) -> tuple[float, float, f
     return 0.5 * math.log2(1.0 + RATE_SINR_SCALE * u), drate_du * du[0], drate_du * du[1]
 
 
-def _positive_theta(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0):
-        raise ValueError("surrogate parameters must be positive")
-    return theta
+def _positive_theta(theta) -> tuple[float, float]:
+    t1, t2 = map(float, theta)
+    if not (0.0 < t1 < math.inf and 0.0 < t2 < math.inf):
+        raise ValueError("surrogate parameters must be positive and finite")
+    return t1, t2
 
 
 def reduced_objective(beta, theta, channels: ChannelSet, scenario: Scenario,
                       scheme: DetectorScheme):
-    """Reduced sum-rate objective value and exact gradient at `beta`.
-
-    `theta` is the pair of surrogate parameters (array-like of length 2).
-    """
+    """Reduced sum-rate objective value and exact gradient at `beta`, for `theta`
+    any array-like of two positive finite surrogate parameters."""
     theta = _positive_theta(theta)
     prob = _ReducedProblem(channels, scenario, scheme)
     f, x, y = prob.value_slopes(np.asarray(beta, dtype=float), theta)
@@ -255,7 +254,7 @@ def _project(beta: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(beta, 0.0), 1.0)
 
 
-def _pga(prob, objective, theta: np.ndarray, beta0: np.ndarray) -> tuple[np.ndarray, float, bool]:
+def _pga(prob, objective, theta, beta0: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Projected gradient ascent over the box of `objective` -> (f, x, y), whose
     gradient is `prob.gradient(x, y)`, with BB step + Armijo backtracking.
 
@@ -318,8 +317,8 @@ def _start(prob: _ReducedProblem, value: float) -> np.ndarray:
 
 def solve_subproblem(theta, channels: ChannelSet, scenario: Scenario,
                      scheme: DetectorScheme):
-    """Maximize the reduced sum-rate objective over the box for fixed theta,
-    from the midpoint start `SETTINGS.beta_init` (1 at dead elements).
+    """Maximize the reduced sum-rate objective over the box for fixed theta (two
+    positive finite numbers) from the midpoint start `SETTINGS.beta_init` (1 at dead elements).
 
     Returns (beta, inner_converged).
     """
@@ -330,7 +329,7 @@ def solve_subproblem(theta, channels: ChannelSet, scenario: Scenario,
 
 
 def _spca_loop(prob: _ReducedProblem, objective, beta0: float) -> SpcaResult:
-    theta = np.full(2, SETTINGS.theta_init)
+    theta = (SETTINGS.theta_init,) * 2
     tolerance = SETTINGS.tolerance
     beta = _start(prob, beta0)
     trace: list[TraceEntry] = []
@@ -338,27 +337,27 @@ def _spca_loop(prob: _ReducedProblem, objective, beta0: float) -> SpcaResult:
     inner_ok = True
     for _m in range(SETTINGS.max_outer_iterations):
         prev_beta = beta
-        beta, value, ok = prob.once((theta.tobytes(), beta.tobytes()),
+        beta, value, ok = prob.once((theta, beta.tobytes()),
                                     lambda: _pga(prob, objective, theta, prev_beta))
         inner_ok = inner_ok and ok
-        a, v2 = prob.terms(beta)
-        v = np.sqrt(v2)
-        u = (a / v) ** 2
-        uv = u.tolist() + v.tolist()
-        trace.append(TraceEntry(objective=value, sum_rate=rate(uv[0]) + rate(uv[1]),
+        (a1, a2), (w1, w2) = prob.terms(beta)
+        v = (math.sqrt(w1), math.sqrt(w2))
+        q1, q2 = a1 / v[0], a2 / v[1]
+        u = (q1 * q1, q2 * q2)
+        trace.append(TraceEntry(objective=value, sum_rate=rate(u[0]) + rate(u[1]),
                                 state=SurrogateState(theta=theta, u=u, v=v)))
+        uv = u + v
         # the beta move is formed only when the u and v moves pass
         if (len(trace) > 1 and max(abs(now - was) for now, was in zip(uv, prev_uv)) < tolerance
                 and np.abs(beta - prev_beta).max(initial=0.0) < tolerance):
             converged = True
             break
         prev_uv = uv
-        theta = np.array([t if uk <= 0.0 or vk < 1e-30 else math.sqrt(uk) / vk
-                          for t, uk, vk in zip(theta.tolist(), uv[:2], uv[2:])])
+        theta = tuple(t if uk <= 0.0 or vk < 1e-30 else math.sqrt(uk) / vk
+                      for t, uk, vk in zip(theta, u, v))
     rates = prob.once(beta.tobytes(),
                       lambda: rate_pair(prob.channels, beta, prob.scenario, prob.scheme))
-    return SpcaResult(beta=beta, rates=rates, trace=trace,
-                      converged=converged and inner_ok, iterations=len(trace))
+    return SpcaResult(beta=beta, rates=rates, trace=trace, converged=converged and inner_ok)
 
 
 def _spca_multistart(prob: _ReducedProblem, objective, score) -> SpcaResult:
@@ -431,7 +430,7 @@ def time_sharing_optimize(channels: ChannelSet, scenario: Scenario,
     beta2 = np.where(channels.dead, 1.0, 0.0)
     rates1, rates2 = (rate_pair(channels, b, scenario, scheme) for b in (beta1, beta2))
     beta, rates, alpha = (beta1, rates1, 1.0) if rates1.r1 >= rates2.r2 else (beta2, rates2, 0.0)
-    return SpcaResult(beta, rates, trace=[], converged=True, iterations=0, alpha=alpha)
+    return SpcaResult(beta, rates, trace=[], converged=True, alpha=alpha)
 
 
 def max_min_optimize(channels: ChannelSet, scenario: Scenario,

@@ -230,7 +230,7 @@ def test_criterion_8_numerical_hygiene():
         beta = rng.uniform(0.05, 0.95, size=ch.element_count)
         # theta near the tight surrogate parameters keeps both users in the
         # smooth (unclamped) region where the gradient is classical
-        a, v2 = _ReducedProblem(ch, sc, scheme).terms(beta)
+        a, v2 = map(np.array, _ReducedProblem(ch, sc, scheme).terms(beta))
         theta = (a / v2) * 10.0 ** rng.uniform(-0.3, 0.25, size=2)
         _, g = reduced_objective(beta, theta, ch, sc, scheme)
         fd = np.empty_like(g)
@@ -259,11 +259,11 @@ def test_criterion_8_numerical_hygiene():
     problems = {s: _ReducedProblem(ch, sc, s) for s in DetectorScheme}
     thetas = {}
     for scheme, prob in problems.items():
-        am, v2m = prob.terms(mid)
+        am, v2m = map(np.array, prob.terms(mid))
         thetas[scheme] = am / v2m
 
     def unclamped(scheme, beta):
-        a_t, v2_t = problems[scheme].terms(beta)
+        a_t, v2_t = map(np.array, problems[scheme].terms(beta))
         return bool(np.all(2 * thetas[scheme] * a_t - thetas[scheme] ** 2 * v2_t > 0))
 
     checked = 0

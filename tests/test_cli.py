@@ -1,3 +1,4 @@
+import ast
 import csv
 import os
 import re
@@ -511,6 +512,20 @@ class TestCliEntry:
         assert main([*argv, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("depth, error", [(5000, RecursionError), (20000, MemoryError)])
+    def test_deeply_nested_value_exit_code(self, tmp_path, capsys, depth, error):
+        """A value nested too deep for `ast.literal_eval` stays a bare string,
+        which the key's own parser rejects: `solve` exits 1 naming the key,
+        with no traceback."""
+        value = "-" * depth + "1"
+        with pytest.raises(error):
+            ast.literal_eval(value)
+        cfg = tmp_path / "scenario.txt"
+        cfg.write_text(f"ris.rows = {value}\n")
+        assert main(["solve", "--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "ris.rows" in err and "Traceback" not in err
 
     def test_degenerate_geometry_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.txt"

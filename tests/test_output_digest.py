@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from dataclasses import replace
 from pathlib import Path
@@ -57,6 +58,36 @@ def test_channel_digest_sees_a_last_bit_of_a_relayed_gain(monkeypatch):
     monkeypatch.setattr(tool.workloads, "run_library", nudged)
     nudged_outputs, nudged_channels = tool.workload_digests(ops)
     assert nudged_outputs == outputs and nudged_channels != channels
+
+
+def test_trace_pairs_digest_alike_as_tuples_and_arrays():
+    """A result whose trace holds theta, u and v as tuples digests the same
+    as the same result holding them as float64 arrays, and moving one entry
+    of one tuple by one ulp changes the digest."""
+    tool = load_tool()
+    op = next(op for op in tool.workloads.build_ops("fairness-power", 1, small=True)
+              if op.kind != "ts")  # time-sharing keeps no trace
+    _, result = tool.workloads.run_library(op, tool.workloads.library_api())
+    assert result.trace
+
+    def with_pairs(pair, nudge=False):
+        trace = [replace(e, state=replace(e.state, theta=pair(e.state.theta),
+                                          u=pair(e.state.u), v=pair(e.state.v)))
+                 for e in result.trace]
+        if nudge:
+            last = trace[-1].state
+            u = (float(np.nextafter(last.u[0], np.inf)), last.u[1])
+            trace[-1] = replace(trace[-1], state=replace(last, u=pair(u)))
+        h = hashlib.sha256()
+        tool.result_digest(h, replace(result, trace=trace))
+        return h.hexdigest()
+
+    def as_tuple(pair):
+        return tuple(map(float, pair))
+
+    as_tuples = with_pairs(as_tuple)
+    assert as_tuples == with_pairs(lambda pair: np.array(pair, dtype=float))
+    assert with_pairs(as_tuple, nudge=True) != as_tuples
 
 
 def test_workload_option_picks_one_workload(monkeypatch, capsys):

@@ -12,7 +12,8 @@ prints one line per workload:
 
 OUTPUTS is a sha256 over each op's `beta` bytes, rates, `converged`,
 `iterations`, `alpha` (time-sharing) and every trace entry's `objective`,
-`sum_rate`, `theta`, `u` and `v`; CHANNELS is a sha256 over each op's
+`sum_rate`, `theta`, `u` and `v` (each pair as float64 bytes, whether the
+solver holds it as an array or a tuple); CHANNELS is a sha256 over each op's
 `ChannelSet` (`h_los`, `h_reflect` and `h_transmit`). Two checkouts whose
 digests agree give bitwise the same channels and outputs on those ops. Runs
 from any directory of a checkout; it imports starvlc from `src/` and the
@@ -37,10 +38,10 @@ LIBRARY_WORKLOADS = ("panels-continuous", "panels-binary", "fairness-power")
 
 
 def _feed(h, *values) -> None:
-    """Hash arrays by their float64 bytes and scalars by `repr`, which is
-    exact for floats and tells -0.0 from 0.0."""
+    """Hash arrays and tuples by their float64 bytes and scalars by `repr`,
+    which is exact for floats and tells -0.0 from 0.0."""
     for value in values:
-        if isinstance(value, np.ndarray):
+        if isinstance(value, (np.ndarray, tuple)):
             h.update(np.ascontiguousarray(value, dtype=float).tobytes())
         else:
             h.update(repr(value).encode())
