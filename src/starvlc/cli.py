@@ -183,14 +183,15 @@ def _build(cls, kwargs: dict, given: list):
 def _scenario_from_entries(entries: dict) -> Scenario:
     """Scenario from config entries over the default one.
 
-    `sweep.*` keys are left to `load_sweep_spec`; any other key that is not
-    a scenario key is a ConfigError. Each object is built from its own keys,
-    so a value it rejects is reported with the keys the entries gave for it.
+    A key that is neither a scenario key nor a `sweep.*` key is a
+    ConfigError; `sweep.*` values are left to `load_sweep_spec`. Each object
+    is built from its own keys, so a value it rejects is reported with the
+    keys the entries gave for it.
     """
     base = default_scenario()
     defaults = scenario_entries(base)
+    _reject_unknown_keys(entries, [*defaults, *_SWEEP_FIELDS])
     given = {k: v for k, v in entries.items() if not k.startswith("sweep.")}
-    _reject_unknown_keys(given, list(defaults))
     cfg = {key: _parse(key, _PARSERS[type(default).__name__], given[key]) if key in given
            else default for key, default in defaults.items()}
     values = {}
@@ -264,7 +265,6 @@ def _sweep_value(key: str, value):
 def load_sweep_spec(path) -> SweepSpec:
     entries = parse_kv_file(path)
     scenario = _scenario_from_entries(entries)
-    _reject_unknown_keys([k for k in entries if k.startswith("sweep.")], list(_SWEEP_FIELDS))
     values = {}
     for key, f in _SWEEP_FIELDS.items():
         if key in entries:
@@ -281,18 +281,14 @@ def sweep_entries(spec: SweepSpec) -> dict:
 
 
 def sweep_values(spec: SweepSpec) -> list[float]:
-    raw = np.linspace(spec.start, spec.stop, spec.steps)
-    if spec.parameter != "element_count":
-        return [float(v) for v in raw]
-    # The panel keeps its column count and varies rows, so element counts
-    # snap to multiples of the column count.
-    cols = spec.scenario.panel.cols
-    values = []
-    for v in raw:
-        n = cols * max(1, round(v / cols))
-        if n not in values:
-            values.append(n)
-    return values
+    """The swept values in order, each distinct value once."""
+    values = np.linspace(spec.start, spec.stop, spec.steps).tolist()
+    if spec.parameter == "element_count":
+        # The panel keeps its column count and varies rows, so element counts
+        # snap to multiples of the column count.
+        cols = spec.scenario.panel.cols
+        values = [cols * max(1, round(v / cols)) for v in values]
+    return list(dict.fromkeys(values))
 
 
 def scenario_at(spec: SweepSpec, value: float) -> Scenario:

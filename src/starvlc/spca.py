@@ -29,9 +29,7 @@ u_k = (A_k / v_k)^2, the exact SINR, whose rates give the trace's sum-rate,
 and theta_k = sqrt(u_k) / v_k. V_k^2 >= min(1, sigma^2) > 0, so v_k > 0;
 a user keeps its previous theta_k where u_k = 0 (a dead channel) or
 v_k < 1e-30. theta, u and v are float pairs; a result's `iterations` is its
-trace's length. A multistart solves each distinct inner problem (theta, start)
-of its one objective once: its starts often reach the same iterate under the
-same theta and share that solve and the exact rates (`_ReducedProblem.once`).
+trace's length. A multistart's start stops on meeting an earlier one.
 
 Every solver runs with one fixed set of settings, `SETTINGS`; none takes
 settings as an argument.
@@ -145,13 +143,6 @@ class _ReducedProblem:
         self.dead = channels.dead
         self.channels = channels
         self.scenario = scenario
-        self.table: dict = {}
-
-    def once(self, key, compute):
-        """`compute()`, run at most once per `key` in `self.table`."""
-        if key not in self.table:
-            self.table[key] = compute()
-        return self.table[key]
 
     def gains(self, beta: np.ndarray) -> tuple[float, float]:
         h1 = self.h_los + float(beta.dot(self.hr))
@@ -328,17 +319,21 @@ def solve_subproblem(theta, channels: ChannelSet, scenario: Scenario,
     return beta, converged
 
 
-def _spca_loop(prob: _ReducedProblem, objective, beta0: float) -> SpcaResult:
+def _spca_loop(prob: _ReducedProblem, objective, beta0: float, seen: set) -> SpcaResult | None:
+    """The outer loop from `beta0`; None at a state (m, theta, beta) in `seen`."""
     theta = (SETTINGS.theta_init,) * 2
     tolerance = SETTINGS.tolerance
     beta = _start(prob, beta0)
     trace: list[TraceEntry] = []
     converged = False
     inner_ok = True
-    for _m in range(SETTINGS.max_outer_iterations):
+    for m in range(SETTINGS.max_outer_iterations):
+        state = (m, theta, beta.tobytes())
+        if state in seen:
+            return None
+        seen.add(state)
         prev_beta = beta
-        beta, value, ok = prob.once((theta, beta.tobytes()),
-                                    lambda: _pga(prob, objective, theta, prev_beta))
+        beta, value, ok = _pga(prob, objective, theta, prev_beta)
         inner_ok = inner_ok and ok
         (a1, a2), (w1, w2) = prob.terms(beta)
         v = (math.sqrt(w1), math.sqrt(w2))
@@ -355,8 +350,7 @@ def _spca_loop(prob: _ReducedProblem, objective, beta0: float) -> SpcaResult:
         prev_uv = uv
         theta = tuple(t if uk <= 0.0 or vk < 1e-30 else math.sqrt(uk) / vk
                       for t, uk, vk in zip(theta, u, v))
-    rates = prob.once(beta.tobytes(),
-                      lambda: rate_pair(prob.channels, beta, prob.scenario, prob.scheme))
+    rates = rate_pair(prob.channels, beta, prob.scenario, prob.scheme)
     return SpcaResult(beta=beta, rates=rates, trace=trace, converged=converged and inner_ok)
 
 
@@ -367,11 +361,16 @@ def _spca_multistart(prob: _ReducedProblem, objective, score) -> SpcaResult:
 
     The sum-rate landscape splits into a serve-user-1 and a serve-user-2
     basin; a single local ascent from the midpoint can settle in the wrong
-    one, so the all-reflect and all-transmit starts cover both. The loops
-    share `prob.table`, keyed by (theta, start): `prob` serves one objective.
+    one, so the all-reflect and all-transmit starts cover both. A start stops
+    with no result at a state (m, theta, beta) an earlier one reached at
+    outer iteration m: the u, v and beta the convergence test compares are
+    functions of beta, the budget left of m, so it would end as the earlier
+    start, which `max` keeps first. Starts that meet at different m can end
+    differently (at the cap, or on the first iteration, which cannot stop).
     """
-    results = [_spca_loop(prob, objective, beta0) for beta0 in (SETTINGS.beta_init, 0.0, 1.0)]
-    return max(results, key=lambda result: score(result.rates))
+    seen: set = set()
+    results = [_spca_loop(prob, objective, b, seen) for b in (SETTINGS.beta_init, 0.0, 1.0)]
+    return max((r for r in results if r is not None), key=lambda r: score(r.rates))
 
 
 def spca_optimize(channels: ChannelSet, scenario: Scenario,

@@ -276,14 +276,18 @@ class TestRunSweep:
         b = (tmp_path / "b" / "sweep.csv").read_bytes()
         assert a == b
 
-    def test_degenerate_two_point_sweep(self, tmp_path):
-        # Two identical sweep points produce two identical result rows.
-        sc = small_sweep_scenario()
-        spec = SweepSpec(parameter="power_both", start=0.05, stop=0.05, steps=2,
-                         scenario=sc)
+    @pytest.mark.parametrize("parameter, value", [("ue1_x", 3.0), ("power_both", 0.05)])
+    def test_sweep_with_start_at_stop_runs_one_point(self, tmp_path, parameter, value):
+        """A sweep whose start equals its stop runs its one value once: one
+        row and one manifest point, whatever its step count."""
+        spec = SweepSpec(parameter=parameter, start=value, stop=value, steps=3,
+                         scenario=small_sweep_scenario())
         run_sweep(spec, tmp_path)
         rows = read_csv(tmp_path / "sweep.csv")
-        assert rows[1] == rows[2]
+        assert [row[0] for row in rows[1:]] == [repr(value)]
+        manifest = parse_kv_file(tmp_path / "manifest.txt")
+        assert [key for key in manifest if key.startswith("point.")] == \
+            [f"point.{value}.seconds", f"point.{value}.converged"]
 
     @pytest.mark.parametrize("start", [0.001, 0.0])
     def test_power_sweep_notes_zero_exclusion(self, tmp_path, start):
@@ -583,6 +587,15 @@ class TestCliEntry:
         code = main(["solve", "--scenario", str(typo), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "ris.rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "scan"])
+    def test_unknown_sweep_key_in_a_scenario_exit_code(self, tmp_path, capsys, command):
+        """A scenario file's `sweep.*` keys are checked like its other keys."""
+        typo = tmp_path / "typo.txt"
+        typo.write_text("ris.rows = 2\nris.cols = 2\nsweep.oracle_chek = True\n")
+        code = main([command, "--scenario", str(typo), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "sweep.oracle_check" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["ap.normal = [0, 0, 2]", "ris.rows = -1",
                                       "power.ue1 = -5", "ue1.position = [6.0, 2.5, 1.0]",

@@ -891,12 +891,13 @@ def reference_score(result, weights, minmax):
 def reference_weighted_multistart(channels, scenario, scheme, weights=(1.0, 1.0),
                                   minmax=False):
     """`spca._spca_multistart` with its `weights` and `minmax` knobs, kept
-    verbatim but for building a `WeightedProblem`."""
+    verbatim but for building a `WeightedProblem` and for passing each start
+    a fresh `seen`, so that every start runs to its end."""
     prob = WeightedProblem(channels, scenario, scheme, weights)
     objective = prob.min_value_slopes if minmax else prob.value_slopes
     best = None
     for beta0 in (spca.SETTINGS.beta_init, 0.0, 1.0):
-        result = spca._spca_loop(prob, objective, beta0)
+        result = spca._spca_loop(prob, objective, beta0, set())
         if best is None or (reference_score(result, weights, minmax)
                             > reference_score(best, weights, minmax)):
             best = result
@@ -973,7 +974,8 @@ class TestLegacyLayers:
         - `pga`: `reference_pga`, which forms each trial's step and
           gradient before its value test; at least once per start.
         - `loop`: `reference_spca_loop`, which recovers the auxiliaries and
-          the trace's sum-rate separately; once per start.
+          the trace's sum-rate separately and runs every start to its end,
+          so it checks merged starts against unmerged; once per start.
         - `multistart`: the multistart with the `weights` and `minmax`
           knobs; once per solve."""
         cases, fast = unreplaced(solve, scheme)
@@ -988,7 +990,8 @@ class TestLegacyLayers:
             legacy = reference_solver(solve, counted(reference_weighted_multistart), monkeypatch)
         else:
             name, copy = {"pga": ("_pga", reference_pga),
-                          "loop": ("_spca_loop", reference_spca_loop)}[layer]
+                          "loop": ("_spca_loop", lambda prob, objective, beta0, seen:
+                                   reference_spca_loop(prob, objective, beta0))}[layer]
             monkeypatch.setattr(spca, name, counted(copy))
             legacy = solve
         assert cases
@@ -1001,29 +1004,29 @@ class TestLegacyLayers:
                 assert len(calls) == (3 if layer == "loop" else 1)
 
 
-class TestSharedSolves:
+class TestMergedStarts:
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
     @pytest.mark.parametrize("solve", [spca_optimize, mode_switching_optimize],
                              ids=lambda solve: solve.__name__)
-    def test_each_distinct_inner_problem_is_solved_once_per_call(self, solve, scheme,
-                                                                 monkeypatch):
-        """On the first `value_first_panels` case two starts meet: one call
-        runs `_pga` fewer times than its three loops' summed iterations and
-        never twice on one (theta, start), the table's key, as each call's
-        problem serves one objective. The table lives one call: a second
-        identical call makes as many `_pga` and `rate_pair` calls as the
-        first, and leaves no reference cycle behind with no explicit clear."""
-        solves, iterations, rates = [], [], []
+    def test_a_start_stops_where_it_meets_an_earlier_one(self, solve, scheme, monkeypatch):
+        """On the first `value_first_panels` case a later start meets an
+        earlier one and returns None: `_pga` never runs twice on one
+        (m, theta, start) state, and the call runs fewer outer iterations
+        than the legacy multistart, which runs every start to its end.
+        `seen` lives one call: a second identical call makes as many `_pga`
+        and `rate_pair` calls as the first, and leaves no reference cycle
+        behind."""
+        starts, results, rates = [], [], []
         pga, loop, rate_pair_ = spca._pga, spca._spca_loop, spca.rate_pair
 
         def counted_pga(prob, objective, theta, beta0):
-            solves.append((theta, beta0.tobytes()))
+            starts[-1].append((len(starts[-1]), theta, beta0.tobytes()))
             return pga(prob, objective, theta, beta0)
 
         def counted_loop(*args):
-            result = loop(*args)
-            iterations.append(result.iterations)
-            return result
+            starts.append([])
+            results.append(loop(*args))
+            return results[-1]
 
         def counted_rate_pair(*args):
             rates.append(args)
@@ -1032,18 +1035,37 @@ class TestSharedSolves:
         monkeypatch.setattr(spca, "_spca_loop", counted_loop)
         monkeypatch.setattr(spca, "rate_pair", counted_rate_pair)
         sc, ch = next(value_first_panels(solve))
+        reference_weighted_multistart(ch, sc, scheme)
+        legacy_iterations = sum(map(len, starts))
+        assert None not in results
         counts = []
         for _ in range(2):
-            iterations.clear()
+            starts.clear()
+            results.clear()
+            rates.clear()
             gc.collect()
             solve(ch, sc, scheme)
-            assert len(iterations) == 3
-            assert len(set(solves)) == len(solves) < sum(iterations)
-            counts.append((len(solves), len(rates)))
-            solves.clear()
-            rates.clear()
+            states = [state for start in starts for state in start]
+            assert len(results) == 3 and results[0] is not None and None in results[1:]
+            assert len(set(states)) == len(states) < legacy_iterations
+            counts.append((len(states), len(rates)))
             assert gc.collect() == 0
         assert counts[0] == counts[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_panels())
+    @pytest.mark.parametrize("solve", [spca_optimize, mode_switching_optimize],
+                             ids=lambda solve: solve.__name__)
+    def test_merged_starts_match_the_legacy_multistart(self, solve, case):
+        """On panels with dead and parallel elements, under both schemes,
+        ES and MS return bitwise what the legacy multistart returns, whose
+        starts all run to their end."""
+        ch, sc = case
+        for scheme in DetectorScheme:
+            result = solve(ch, sc, scheme)
+            with pytest.MonkeyPatch.context() as patch:
+                legacy = reference_solver(solve, reference_weighted_multistart, patch)
+                assert_same_result(result, legacy(ch, sc, scheme), "multistart")
 
 
 class TestDeadElements:
