@@ -8,7 +8,15 @@ beyond 90 degrees zero the gain (a Lambertian source emits nothing backwards).
 
 `channel_set` builds both gain vectors in one pass: the AP side (element
 distances, incidence cosines, field-of-view mask) and the Lambertian order
-and gain factor are computed once per build and shared by both UEs.
+and gain factor are computed once per build and shared by both UEs. Each
+UE's gain is evaluated on every element and then masked to 0 where the
+element is behind the UE or outside the AP's field of view, which costs
+fewer numpy calls than gathering the visible elements and scattering their
+gains back. The emission cosine is clipped at 0 before `cos ** m`, so the
+masked-out elements never raise a negative base to the fractional order m
+(a RuntimeWarning, which the test suite turns into an error). Element-wise
+ufuncs give the same bits on a subset as on the whole array, so the gains
+are bitwise those of the gathered form.
 """
 
 from __future__ import annotations
@@ -88,12 +96,15 @@ class ChannelSet:
     h_transmit: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h_reflect", np.asarray(self.h_reflect, dtype=float))
-        object.__setattr__(self, "h_transmit", np.asarray(self.h_transmit, dtype=float))
-        if self.h_reflect.shape != self.h_transmit.shape:
-            raise ValueError("reflect and transmit gain vectors must have equal length")
-        gains = np.concatenate(([self.h_los], self.h_reflect.ravel(), self.h_transmit.ravel()))
-        if not np.all(np.isfinite(gains) & (gains >= 0.0)):
+        hr = np.asarray(self.h_reflect, dtype=float)
+        ht = np.asarray(self.h_transmit, dtype=float)
+        object.__setattr__(self, "h_reflect", hr)
+        object.__setattr__(self, "h_transmit", ht)
+        if hr.ndim != 1 or hr.shape != ht.shape:
+            raise ValueError(f"reflect and transmit gains must be 1-D vectors of equal length, "
+                             f"got shapes {hr.shape} and {ht.shape}")
+        gains = np.concatenate(([self.h_los], hr, ht))
+        if not (gains.min() >= 0.0 and gains.max() < math.inf):  # a NaN fails both
             raise ValueError("channel gains must be finite and nonnegative")
 
     @property
@@ -142,8 +153,11 @@ def _relay_gains(scenario: Scenario, elements: np.ndarray, m: float,
     (transmit); the AP side is computed once for both."""
     points = (scenario.ap, scenario.ue1, scenario.ue2)
     offsets = [elements - p.position for p in points]  # point -> element
-    # np.linalg.norm(v, axis=1) of a real array, without the wrapper: the same bits
-    dists = [np.sqrt(np.add.reduce(v * v, axis=1)) for v in offsets]
+    dists = []
+    for v in offsets:
+        sq = v * v
+        # np.linalg.norm(v, axis=1) of a real (N, 3) array: the same bits
+        dists.append(np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2]))
     if not all(d.all() for d in dists):  # checked before any division
         raise ValueError("UE or AP coincides with a RIS element: degenerate geometry")
     cos_psi = offsets[0] @ scenario.ap.normal / dists[0]
@@ -151,10 +165,9 @@ def _relay_gains(scenario: Scenario, elements: np.ndarray, m: float,
     gains = []
     for k in (1, 2):
         cos_phi = offsets[k] @ points[k].normal / dists[k]
-        ok = (cos_phi > 0.0) & in_fov
-        g = np.zeros(elements.shape[0])
-        g[ok] = factor / (dists[k][ok] + dists[0][ok]) ** 2 * cos_phi[ok] ** m * cos_psi[ok]
-        gains.append(g)
+        # clipped, so that x ** m sees no negative base where it is masked out
+        g = factor / (dists[k] + dists[0]) ** 2 * np.maximum(cos_phi, 0.0) ** m * cos_psi
+        gains.append(np.where((cos_phi > 0.0) & in_fov, g, 0.0))
     return gains
 
 

@@ -28,7 +28,7 @@ def as_vec3(value) -> np.ndarray:
     v = np.asarray(value, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"non-finite vector components: {v}")
     return v
 
@@ -103,6 +103,10 @@ class RisPanel:
         else:
             object.__setattr__(self, "normal", unit(as_vec3(self.normal)))
         # rows = 0 or cols = 0 is allowed and yields an empty (RIS-free) panel
+        for name in ("rows", "cols"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.rows < 0 or self.cols < 0:
             raise ValueError(f"rows and cols must be nonnegative, got {self.rows}x{self.cols}")
         if not 0.0 < self.pitch < math.inf:  # NaN fails too

@@ -48,7 +48,7 @@ def validate_beta(beta, n: int) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (n,):
         raise ValueError(f"beta length {beta.shape} does not match element count {n}")
-    if not np.all((beta >= 0.0) & (beta <= 1.0)):  # NaN fails too
+    if beta.size and not (beta.min() >= 0.0 and beta.max() <= 1.0):  # a NaN fails both
         raise ValueError("beta entries must lie in [0, 1]")
     return beta
 

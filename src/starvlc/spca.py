@@ -22,6 +22,10 @@ beta only through the effective gains H1 = h_los + beta.h_reflect and
 H2 = sum(h_transmit) - beta.h_transmit, so an objective F of the u_k has
 grad F = (dF/dH1) * h_reflect - (dF/dH2) * h_transmit: F and its two
 slopes cost two dot products; `_pga` combines gradients per accepted step.
+Each backtracking trial costs one fresh candidate t * g + beta, one
+in-place projection onto the box and one objective call with its two dot
+products; the step d and the Armijo product g.d are formed only when the
+trial's value has not fallen.
 
 Each outer iteration makes the surrogate tight again at the new iterate from
 one `terms` call: the auxiliaries are recovered as v_k = sqrt(V_k^2) and
@@ -161,20 +165,31 @@ class _ReducedProblem:
     def user_values(self, beta: np.ndarray, theta):
         """Per user k, (value, dvalue/dg1, dvalue/dg2) of 0.5 * log2(1 + c * u_k),
         where g_k = rho * p_k * H_k; all three are 0 where u_k <= 0."""
-        h1, h2 = self.gains(beta)
-        g1 = self.a1 * h1
-        g2 = self.a2 * h2
+        g1 = self.a1 * (self.h_los + float(beta.dot(self.hr)))
+        g2 = self.a2 * (self.ht_sum - float(beta.dot(self.ht)))
         t1, t2 = theta
         if self.sic:  # A1 = g1 / sigma, V1^2 = 1
             u1 = 2.0 * t1 * (g1 / self.sigma) - t1 * t1
-            du1 = (2.0 * t1 / self.sigma, 0.0)
+            x1, y1 = 2.0 * t1 / self.sigma, 0.0
         else:  # A1 = g1, V1^2 = g2^2 + sigma^2
             u1 = 2.0 * t1 * g1 - t1 * t1 * (g2 * g2 + self.sigma2)
-            du1 = (2.0 * t1, -2.0 * t1 * t1 * g2)
+            x1, y1 = 2.0 * t1, -2.0 * t1 * t1 * g2
         # both schemes: A2 = g2, V2^2 = g1^2 + sigma^2
         u2 = 2.0 * t2 * g2 - t2 * t2 * (g1 * g1 + self.sigma2)
-        du2 = (-2.0 * t2 * t2 * g1, 2.0 * t2)
-        return _rate_and_slopes(u1, du1), _rate_and_slopes(u2, du2)
+        x2, y2 = -2.0 * t2 * t2 * g1, 2.0 * t2
+        # value 0.5 * log2(1 + c * u) and slopes drate/du * (du/dg1, du/dg2)
+        c = RATE_SINR_SCALE
+        if u1 <= 0.0:
+            user1 = 0.0, 0.0, 0.0
+        else:
+            s = 0.5 * c / (_LN2 * (1.0 + c * u1))
+            user1 = 0.5 * math.log2(1.0 + c * u1), s * x1, s * y1
+        if u2 <= 0.0:
+            user2 = 0.0, 0.0, 0.0
+        else:
+            s = 0.5 * c / (_LN2 * (1.0 + c * u2))
+            user2 = 0.5 * math.log2(1.0 + c * u2), s * x2, s * y2
+        return user1, user2
 
     def value_slopes(self, beta: np.ndarray, theta) -> tuple[float, float, float]:
         """Sum objective and its slopes (dF/dg1, dF/dg2)."""
@@ -215,15 +230,6 @@ def check_float_range(channels: ChannelSet, scenario: Scenario) -> None:
                          f"solver's floats at noise variance {sigma2!r}")
 
 
-def _rate_and_slopes(u: float, du: tuple[float, float]) -> tuple[float, float, float]:
-    """0.5 * log2(1 + c * u) and its derivatives given du = (du/dg1, du/dg2);
-    zeros where the eliminated SINR bound u is clamped at 0."""
-    if u <= 0.0:
-        return 0.0, 0.0, 0.0
-    drate_du = 0.5 * RATE_SINR_SCALE / (_LN2 * (1.0 + RATE_SINR_SCALE * u))
-    return 0.5 * math.log2(1.0 + RATE_SINR_SCALE * u), drate_du * du[0], drate_du * du[1]
-
-
 def _positive_theta(theta) -> tuple[float, float]:
     t1, t2 = map(float, theta)
     if not (0.0 < t1 < math.inf and 0.0 < t2 < math.inf):
@@ -241,34 +247,45 @@ def reduced_objective(beta, theta, channels: ChannelSet, scenario: Scenario,
     return f, prob.gradient(x, y)
 
 
-def _project(beta: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(beta, 0.0), 1.0)
+def _project(beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`beta` clipped to the box [0, 1], written into `out` when it is given
+    (`out` may be `beta` itself)."""
+    out = np.maximum(beta, 0.0, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
 def _pga(prob, objective, theta, beta0: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Projected gradient ascent over the box of `objective` -> (f, x, y), whose
     gradient is `prob.gradient(x, y)`, with BB step + Armijo backtracking.
 
+    Precondition: `beta0` lies in the box. Every caller passes a `_start`
+    vector or an iterate `_pga` returned, so it is not projected again.
+    `_pga` never writes into `beta0` or into any iterate; the one it returns
+    may be `beta0` itself.
+
     The spectral step keeps the iteration scale-invariant; the very first
     step falls back to `SETTINGS.step_init`. Returns (beta, its value,
     converged).
 
-    A trial takes the candidate's value fc first. The projection never moves a
-    coordinate against its gradient entry, so g @ (cand - beta) >= 0 in floats
+    Each trial builds a fresh candidate t * g + beta, projects it in place
+    and takes its value fc first. The projection never moves a coordinate
+    against its gradient entry, so g @ (cand - beta) >= 0 in floats
     (test_projection_step_never_opposes_the_gradient) and fc < f fails Armijo
     with no step d formed; a stall (d == 0, so fc == f) is caught on the other
     branch. Gradients are formed only at the start and at accepted steps.
     """
     tolerance, step_init = SETTINGS.inner_tolerance, SETTINGS.step_init
     slope, shrink = SETTINGS.armijo_slope, SETTINGS.armijo_shrink
-    beta = _project(np.asarray(beta0, dtype=float))
+    beta = beta0
     f, x, y = objective(beta, theta)
     g = prob.gradient(x, y)
     step = step_init
     d = prev_g = None
     for _ in range(SETTINGS.max_inner_iterations):
-        pg = _project(beta + g) - beta
-        if np.abs(pg).max(initial=0.0) < tolerance:
+        pg = beta + g  # the projected-gradient step, formed in place
+        _project(pg, pg)
+        pg -= beta
+        if np.abs(pg, out=pg).max(initial=0.0) < tolerance:
             return beta, f, True
         if d is not None:  # d = beta - prev_beta, the step last accepted
             dg = g - prev_g
@@ -281,7 +298,9 @@ def _pga(prob, objective, theta, beta0: np.ndarray) -> tuple[np.ndarray, float, 
         accepted = False
         t = step
         for _bt in range(200):
-            cand = _project(beta + t * g)
+            cand = np.multiply(g, t)
+            cand += beta
+            _project(cand, cand)
             fc, xc, yc = objective(cand, theta)
             if fc >= f:
                 d = cand - beta
@@ -339,8 +358,7 @@ def _spca_loop(prob: _ReducedProblem, objective, beta0: float, seen: set) -> Spc
         v = (math.sqrt(w1), math.sqrt(w2))
         q1, q2 = a1 / v[0], a2 / v[1]
         u = (q1 * q1, q2 * q2)
-        trace.append(TraceEntry(objective=value, sum_rate=rate(u[0]) + rate(u[1]),
-                                state=SurrogateState(theta=theta, u=u, v=v)))
+        trace.append(TraceEntry(value, rate(u[0]) + rate(u[1]), SurrogateState(theta, u, v)))
         uv = u + v
         # the beta move is formed only when the u and v moves pass
         if (len(trace) > 1 and max(abs(now - was) for now, was in zip(uv, prev_uv)) < tolerance

@@ -171,6 +171,14 @@ class TestChannelSet:
         with pytest.raises(ValueError):
             ChannelSet(h_los=0.0, h_reflect=np.zeros(3), h_transmit=np.zeros(4))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (6, 1), (), (1, 0)], ids=str)
+    def test_gains_must_be_vectors(self, shape):
+        """Gains of any shape but 1-D are rejected; before, (2, 3) arrays
+        built a 6-element set that the solvers then failed on."""
+        gains = np.ones(shape) * 1e-6
+        with pytest.raises(ValueError, match="1-D"):
+            ChannelSet(1e-5, gains, gains)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-6])
     @pytest.mark.parametrize("gain", ["h_los", "h_reflect", "h_transmit"])
     def test_non_finite_gains_rejected(self, gain, bad):

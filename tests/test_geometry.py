@@ -95,6 +95,22 @@ class TestRisGrid:
         with pytest.raises(ValueError):
             RisPanel(center=[0, 0, 0], rows=2, cols=2, pitch=0.0)
 
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "2", None], ids=repr)
+    def test_size_must_be_an_integer(self, field, value):
+        """A fractional, float, bool or non-numeric size is rejected by name;
+        before, rows=2.5 built a panel of 5.0 elements that `build_ris_grid`
+        then failed on, and True counted as 1."""
+        sizes = {"rows": 2, "cols": 2, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RisPanel(center=[5.0, 2.5, 1.5], **sizes)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        panel = RisPanel(center=[5.0, 2.5, 1.5], rows=np.int64(2), cols=np.int32(3))
+        assert panel.element_count == 6
+        assert build_ris_grid(panel).shape == (6, 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            RisPanel(center=[5.0, 2.5, 1.5], rows=np.int64(-1), cols=2)
 
 class TestOrientedPoint:
     def test_requires_unit_normal(self):

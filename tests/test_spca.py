@@ -719,9 +719,9 @@ def value_first_panels(solve):
 def count_inner_work(monkeypatch):
     """Record (trials, accepted steps, gradients formed) for each inner
     solve. Trials are the objective calls after the start's. A solve
-    projects once at the start, once per trial and once per iteration's
-    stationarity test, so its iterations are projections minus objective
-    calls; every iteration but a converged solve's last moves beta. The
+    projects once per trial and once per iteration's stationarity test (its
+    start is in the box already), so its iterations are projections minus
+    trials; every iteration but a converged solve's last moves beta. The
     objective is counted as `_pga` receives it, so each solver's own
     objective (the sum or the min) counts alike."""
     counts = Counter()
@@ -747,7 +747,7 @@ def count_inner_work(monkeypatch):
             return objective(*point)
         beta, f, converged = pga(prob, counted_objective, *args)
         values = counts["objective"]
-        iterations = counts["_project"] - values
+        iterations = counts["_project"] - (values - 1)
         solves.append((values - 1, iterations - int(converged), counts["gradient"]))
         return beta, f, converged
     monkeypatch.setattr(spca, "_pga", counted_pga)
