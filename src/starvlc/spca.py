@@ -16,10 +16,10 @@ With the signal term A_k and interference-norm term V_k defined per scheme
 
 and user k's reduced rate is F_k = 0.5 * log2(1 + (e/2pi) * u_k). Each
 variant passes `_pga` its own objective of the F_k: energy splitting (and
-mode switching, which rounds its optimum) F_1 + F_2, max-min min(F_1, F_2);
-time-sharing, a vertex in closed form, passes none. Each u_k depends on
-beta only through the effective gains H1 = h_los + beta.h_reflect and
-H2 = sum(h_transmit) - beta.h_transmit, so an objective F of the u_k has
+mode switching, which binarizes its optimum) F_1 + F_2, max-min
+min(F_1, F_2); time-sharing, a vertex in closed form, passes none. Each u_k
+depends on beta only through the effective gains H1 = h_los + beta.h_reflect
+and H2 = sum(h_transmit) - beta.h_transmit, so an objective F of the u_k has
 grad F = (dF/dH1) * h_reflect - (dF/dH2) * h_transmit: F and its two
 slopes cost two dot products; `_pga` combines gradients per accepted step.
 Each backtracking trial costs one fresh candidate t * g + beta, one
@@ -52,13 +52,12 @@ from .link import (
     RATE_SINR_SCALE,
     DetectorScheme,
     RatePair,
-    effective_channels,
     pair_from_rates,
     rate,
     rate_pair,
-    rates_from_gains,
     sum_rate,
 )
+from .oracle import vertex_enumerate
 
 _LN2 = math.log(2.0)
 
@@ -321,7 +320,7 @@ def _pga(prob, objective, theta, beta0: np.ndarray) -> tuple[np.ndarray, float, 
 def _start(prob: _ReducedProblem, value: float) -> np.ndarray:
     """A start vector: `value` at every element but the dead ones (both
     gains 0), which get 1. A dead element's gradient is 0, so it keeps its
-    start value; 1 is the value mode switching gives it."""
+    start value; the oracle's walk, and so mode switching, gives it 1 too."""
     return np.where(prob.dead, 1.0, value)
 
 
@@ -400,36 +399,17 @@ def spca_optimize(channels: ChannelSet, scenario: Scenario,
 
 def mode_switching_optimize(channels: ChannelSet, scenario: Scenario,
                             scheme: DetectorScheme) -> SpcaResult:
-    """Binary (fully reflect / fully transmit) coefficients.
-
-    Runs the continuous optimizer, then rounds the fractional coordinates in
-    index order, each to the better of {0, 1} by exact sum-rate (ties go to
-    1). Each rounding step can only improve on naive nearest rounding
-    because both endpoints are compared against each other directly.
-
-    The rates depend on `beta` only through the effective gains
-    H1 = h_los + beta.h_reflect and H2 = (1 - beta).h_transmit. Moving
-    coordinate i from b to 0 or to 1 adds -b or 1 - b times
-    (h_reflect[i], -h_transmit[i]) to (H1, H2), so the rounding carries the
-    two gains along and scores each candidate from them in O(1): O(N) in
-    all, where a full sum-rate evaluation per candidate would cost O(N^2).
-    """
+    """Binary (fully reflect / fully transmit) coefficients: energy
+    splitting's result when its `beta` is binary, else that result with the
+    exact binary optimum, `vertex_enumerate`'s best chain vertex, and its
+    rates. The walk is exact over binary vectors: proven for SIC (`oracle`'s
+    docstring), checked for SUD against the 2^N Gray-code enumeration in
+    tests/test_kernels.py."""
     result = spca_optimize(channels, scenario, scheme)
-    beta = result.beta.copy()
-    h1, h2 = effective_channels(channels, beta)
-    fractional = np.flatnonzero((beta > 0.0) & (beta < 1.0))
-    for i, b, hr, ht in zip(fractional.tolist(), beta[fractional].tolist(),
-                            channels.h_reflect[fractional].tolist(),
-                            channels.h_transmit[fractional].tolist()):
-        lo = (h1 - b * hr, h2 + b * ht)
-        hi = (h1 + (1.0 - b) * hr, h2 - (1.0 - b) * ht)
-        f0 = rates_from_gains(*lo, scenario, scheme).sum
-        f1 = rates_from_gains(*hi, scenario, scheme).sum
-        if f1 >= f0:
-            beta[i], (h1, h2) = 1.0, hi
-        else:
-            beta[i], (h1, h2) = 0.0, lo
-    return replace(result, beta=beta, rates=rate_pair(channels, beta, scenario, scheme))
+    if np.all((result.beta == 0.0) | (result.beta == 1.0)):
+        return result
+    report = vertex_enumerate(channels, scenario, scheme)
+    return replace(result, beta=report.best_beta, rates=report.best_rates)
 
 
 def time_sharing_optimize(channels: ChannelSet, scenario: Scenario,
