@@ -410,6 +410,14 @@ class TestSpca:
             assert last.objective == reduced_objective(result.beta, last.state.theta,
                                                        ch, sc, scheme)[0]
 
+    def test_default_scenario_fast_convergence(self):
+        sc = reference_scenario()
+        ch = channel_set(sc)
+        sic = spca_optimize(ch, sc, DetectorScheme.SIC)
+        sud = spca_optimize(ch, sc, DetectorScheme.SUD)
+        assert sic.converged and sic.iterations <= 6
+        assert sud.converged and sud.iterations <= 8
+
     def test_beta_stays_in_box(self):
         sc, ch = small_setup(seed=6, rows=3, cols=4)
         result = spca_optimize(ch, sc, DetectorScheme.SIC)
@@ -436,14 +444,13 @@ class TestSpca:
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
     def test_every_solver_returns_an_spca_result(self, scheme):
         """One record for all four solvers: only time-sharing sets `alpha`,
-        to a weight endpoint, and it always converges."""
+        to a weight endpoint."""
         sc, ch = small_setup(seed=8)
         for solve in SOLVERS:
             result = solve(ch, sc, scheme)
             assert isinstance(result, spca.SpcaResult)
             if solve is time_sharing_optimize:
                 assert result.alpha in (0.0, 1.0)
-                assert result.converged
             else:
                 assert result.alpha is None
 
@@ -501,6 +508,19 @@ def paper_scale_panels(dead_elements):
     for sc in [reference_scenario(), *(random_scenario(rng, r, c) for r, c in shapes)]:
         ch = channel_set(sc)
         yield sc, with_dead_elements(ch) if dead_elements else ch
+
+
+def es_with_fractional_dead_elements(monkeypatch):
+    """Make `mode_switching_optimize` binarize an ES optimum whose dead
+    elements sit at 0.5 (any value is optimal there), so its `beta` is
+    fractional exactly where no coordinate matters."""
+    es = spca_optimize
+
+    def patched(ch, sc, scheme):
+        result = es(ch, sc, scheme)
+        return replace(result, beta=np.where(dead(ch), 0.5, result.beta))
+    monkeypatch.setattr(spca, "spca_optimize", patched)
+    return patched
 
 
 class TestModeSwitching:
@@ -576,6 +596,60 @@ class TestModeSwitching:
             assert (ms.trace, ms.converged) == (forced.trace, forced.converged)
             greedy = sum_rate(ch, reference_rounding(ch, sc, scheme, start), sc, scheme)
             assert ms.rates.sum >= greedy
+
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_dead_elements_at_a_fractional_es_optimum_take_one(self, scheme, monkeypatch):
+        """From an ES optimum whose elements that see no light (both gains 0)
+        sit at 0.5, MS returns bitwise the walk's beta, which sets them to 1,
+        and a sum rate no lower than ES's. Seed 0's 20 x 16 panel has over
+        100 of them."""
+        es = es_with_fractional_dead_elements(monkeypatch)
+        tied = 0
+        for seed, (rows, cols) in enumerate([(20, 16), (2, 3), (4, 4), (10, 8)] * 2):
+            sc = random_scenario(np.random.default_rng(seed), rows, cols)
+            ch = channel_set(sc)
+            if seed % 2:
+                ch = with_dead_elements(ch)
+            start = es(ch, sc, scheme)
+            ms = mode_switching_optimize(ch, sc, scheme)
+            np.testing.assert_array_equal(ms.beta, vertex_enumerate(ch, sc, scheme).best_beta)
+            assert np.all(ms.beta[dead(ch)] == 1.0)
+            assert ms.rates.sum >= start.rates.sum
+            tied += int(np.sum(dead(ch) & fractional(start.beta)))
+            if seed == 0:
+                assert np.sum(fractional(start.beta)) >= 100
+        assert tied >= 100
+
+    @pytest.mark.parametrize("rows, cols", [(4, 4), (20, 16)])
+    def test_mode_switching_adds_no_rate_calls(self, rows, cols, monkeypatch):
+        """MS costs what ES costs and, when ES's beta is fractional, one
+        chain walk: it makes no `rate_pair` call of its own, since the
+        walk's report carries the rates at its vertex."""
+        calls = Counter()
+
+        def counting(name):
+            fn = getattr(spca, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("rate_pair", "vertex_enumerate"):
+            monkeypatch.setattr(spca, name, counting(name))
+        sc = random_scenario(np.random.default_rng(0), rows, cols)
+        ch = with_dead_elements(channel_set(sc))
+        for scheme in DetectorScheme:
+            for es in (spca_optimize, es_with_fractional_dead_elements(monkeypatch)):
+                monkeypatch.setattr(spca, "spca_optimize", es)
+                calls.clear()
+                binary = not np.any(fractional(es(ch, sc, scheme).beta))
+                es_calls = calls.copy()
+                calls.clear()
+                mode_switching_optimize(ch, sc, scheme)
+                assert calls["rate_pair"] == es_calls["rate_pair"] > 0
+                assert calls["vertex_enumerate"] == (0 if binary else 1)
+            assert not binary
 
     @pytest.mark.parametrize("dead_elements", [False, True])
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
@@ -863,11 +937,14 @@ def reference_time_sharing(channels, scenario, scheme, multistart):
                            converged=best_r1.converged and best_r2.converged, alpha=alpha)
 
 
-def reference_solver(solve, multistart):
-    """`solve` (ES or max-min) as it was on the weighted multistart `multistart`."""
+def reference_solver(solve, multistart, monkeypatch):
+    """`solve` as it was on the weighted multistart `multistart`."""
+    if solve is spca_optimize:
+        return multistart
     if solve is max_min_optimize:
         return lambda ch, sc, scheme: multistart(ch, sc, scheme, minmax=True)
-    return multistart
+    monkeypatch.setattr(spca, "spca_optimize", multistart)  # MS binarizes the ES optimum
+    return solve
 
 
 @pytest.fixture(scope="module")
@@ -909,8 +986,7 @@ def assert_same_result(result, ref, layer):
 class TestLegacyLayers:
     @pytest.mark.parametrize("layer", ["pga", "loop", "multistart"])
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
-    @pytest.mark.parametrize("solve", [spca_optimize, max_min_optimize],
-                             ids=lambda solve: solve.__name__)
+    @pytest.mark.parametrize("solve", SPCA_SOLVERS, ids=lambda solve: solve.__name__)
     def test_solvers_match_the_legacy_layer(self, solve, scheme, layer, unreplaced, monkeypatch):
         """Each solver returns bitwise what it returns with one layer
         replaced by its verbatim legacy copy, on every `value_first_panels`
@@ -931,7 +1007,7 @@ class TestLegacyLayers:
                 return copy(*args, **kwargs)
             return call
         if layer == "multistart":
-            legacy = reference_solver(solve, counted(reference_weighted_multistart))
+            legacy = reference_solver(solve, counted(reference_weighted_multistart), monkeypatch)
         else:
             name, copy = {"pga": ("_pga", reference_pga),
                           "loop": ("_spca_loop", lambda prob, objective, beta0, seen:
@@ -950,7 +1026,8 @@ class TestLegacyLayers:
 
 class TestMergedStarts:
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
-    @pytest.mark.parametrize("solve", [spca_optimize], ids=lambda solve: solve.__name__)
+    @pytest.mark.parametrize("solve", [spca_optimize, mode_switching_optimize],
+                             ids=lambda solve: solve.__name__)
     def test_a_start_stops_where_it_meets_an_earlier_one(self, solve, scheme, monkeypatch):
         """On the first `value_first_panels` case a later start meets an
         earlier one and returns None: `_pga` never runs twice on one
@@ -997,15 +1074,18 @@ class TestMergedStarts:
 
     @settings(max_examples=100, deadline=None)
     @given(grid_panels())
-    @pytest.mark.parametrize("solve", [spca_optimize], ids=lambda solve: solve.__name__)
+    @pytest.mark.parametrize("solve", [spca_optimize, mode_switching_optimize],
+                             ids=lambda solve: solve.__name__)
     def test_merged_starts_match_the_legacy_multistart(self, solve, case):
         """On panels with dead and parallel elements, under both schemes,
-        ES returns bitwise what the legacy multistart returns, whose starts
-        all run to their end."""
+        ES and MS return bitwise what the legacy multistart returns, whose
+        starts all run to their end."""
         ch, sc = case
-        legacy = reference_solver(solve, reference_weighted_multistart)
         for scheme in DetectorScheme:
-            assert_same_result(solve(ch, sc, scheme), legacy(ch, sc, scheme), "multistart")
+            result = solve(ch, sc, scheme)
+            with pytest.MonkeyPatch.context() as patch:
+                legacy = reference_solver(solve, reference_weighted_multistart, patch)
+                assert_same_result(result, legacy(ch, sc, scheme), "multistart")
 
 
 class TestDeadElements:
@@ -1023,6 +1103,13 @@ class TestDeadElements:
 
 
 class TestTimeSharing:
+    def test_alpha_is_endpoint(self):
+        sc, ch = small_setup(seed=8)
+        for scheme in DetectorScheme:
+            res = time_sharing_optimize(ch, sc, scheme)
+            assert res.alpha in (0.0, 1.0)
+            assert res.converged
+
     def test_value_is_best_single_user_rate(self):
         # The winning weighted rate must beat serving either user with any
         # binary vertex assignment.
