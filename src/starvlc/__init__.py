@@ -57,9 +57,12 @@ __all__ = [
     "OracleReport",
     "coordinate_scan",
     "vertex_enumerate",
+    "SpcaConfig",
     "SpcaResult",
     "max_min_optimize",
     "mode_switching_optimize",
+    "reduced_objective",
+    "solve_subproblem",
     "spca_optimize",
     "time_sharing_optimize",
 ]

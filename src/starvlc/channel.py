@@ -86,6 +86,12 @@ class Scenario:
         if s_ap * s2 > 0.0:
             raise ValueError("ue2 must lie on the opposite side of the panel plane from the ap")
 
+    @property
+    def amplitudes(self) -> tuple[float, float]:
+        """(rho * p1, rho * p2): user k's received amplitude is rho * p_k * H_k."""
+        rho = self.front_end.responsivity
+        return rho * self.p1, rho * self.p2
+
 
 @dataclass(frozen=True, eq=False)
 class ChannelSet:

@@ -56,8 +56,8 @@ def validate_beta(beta, n: int) -> np.ndarray:
 def effective_channels(channels: ChannelSet, beta) -> tuple[float, float]:
     """Effective gains (H1, H2) seen by the AP for the given split."""
     beta = validate_beta(beta, channels.element_count)
-    h1 = channels.h_los + float(beta @ channels.h_reflect)
-    h2 = float((1.0 - beta) @ channels.h_transmit)
+    h1 = channels.h_los + float(beta.dot(channels.h_reflect))
+    h2 = float((1.0 - beta).dot(channels.h_transmit))
     return h1, h2
 
 
@@ -71,7 +71,9 @@ def _sinrs(s1, s2, sigma2: float, sic: bool):
 
 def sinr_from_gains(h1: float, h2: float, scenario: Scenario,
                     scheme: DetectorScheme) -> tuple[float, float]:
-    """Post-detection SINRs of the two users for effective gains (H1, H2)."""
+    """Post-detection SINRs of the two users for effective gains (H1, H2). It
+    forms rho * H_k * p_k, not `Scenario.amplitudes` times H_k: that order
+    rounds differently and would move the last bit of every rate."""
     rho = scenario.front_end.responsivity
     s1 = (rho * h1 * scenario.p1) ** 2
     s2 = (rho * h2 * scenario.p2) ** 2

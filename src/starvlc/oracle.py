@@ -73,7 +73,7 @@ from .link import (RATE_SINR_SCALE, DetectorScheme, RatePair, _sinrs, effective_
 def enumerate_vertices(h_los, hr, ht, a1, a2, sigma2, sic):
     """Exact sum-rate maximization by the walk along the outer chain.
 
-    `a1`, `a2` are responsivity * power per user; the gains must be
+    `a1`, `a2` are `Scenario.amplitudes`, rho * p_k; the gains must be
     nonnegative. Returns (best_beta, best_value, evaluations): `best_beta`
     is the first maximum along the walk, 1 at dead elements, and
     `evaluations` counts the chain vertices, N_live + 1.
@@ -109,17 +109,10 @@ def vertex_enumerate(channels: ChannelSet, scenario: Scenario,
     Dead elements are set to 1; among tied vertices the first along the walk
     wins.
     """
-    rho = scenario.front_end.responsivity
     start = time.perf_counter()
     beta, _val, evaluations = enumerate_vertices(
-        channels.h_los,
-        channels.h_reflect,
-        channels.h_transmit,
-        rho * scenario.p1,
-        rho * scenario.p2,
-        scenario.noise_variance,
-        scheme is DetectorScheme.SIC,
-    )
+        channels.h_los, channels.h_reflect, channels.h_transmit, *scenario.amplitudes,
+        scenario.noise_variance, scheme is DetectorScheme.SIC)
     runtime = time.perf_counter() - start
     return OracleReport(
         best_beta=beta,

@@ -18,10 +18,11 @@ and user k's reduced rate is F_k = 0.5 * log2(1 + (e/2pi) * u_k). Each
 variant passes `_pga` its own objective of the F_k: energy splitting (and
 mode switching, which binarizes its optimum) F_1 + F_2, max-min
 min(F_1, F_2); time-sharing, a vertex in closed form, passes none. Each u_k
-depends on beta only through the effective gains H1 = h_los + beta.h_reflect
-and H2 = sum(h_transmit) - beta.h_transmit, so an objective F of the u_k has
-grad F = (dF/dH1) * h_reflect - (dF/dH2) * h_transmit: F and its two
-slopes cost two dot products; `_pga` combines gradients per accepted step.
+depends on beta only through the received amplitudes g_k = a_k * H_k, with
+a_k = rho * p_k and H1 = h_los + beta.h_reflect, H2 = sum(h_transmit) -
+beta.h_transmit (`Scenario.amplitudes`, `_ReducedProblem.received`), so
+grad F = a1 * (dF/dg1) * h_reflect - a2 * (dF/dg2) * h_transmit: F and its
+two slopes cost two dot products; `_pga` combines gradients per accepted step.
 Each backtracking trial costs one fresh candidate t * g + beta, one
 in-place projection onto the box and one objective call with its two dot
 products; the step d and the Armijo product g.d are formed only when the
@@ -132,9 +133,7 @@ class _ReducedProblem:
     """
 
     def __init__(self, channels: ChannelSet, scenario: Scenario, scheme: DetectorScheme):
-        rho = scenario.front_end.responsivity
-        self.a1 = rho * scenario.p1
-        self.a2 = rho * scenario.p2
+        self.a1, self.a2 = scenario.amplitudes
         self.sigma2 = scenario.noise_variance
         self.sigma = math.sqrt(self.sigma2)
         self.h_los = channels.h_los
@@ -147,25 +146,22 @@ class _ReducedProblem:
         self.channels = channels
         self.scenario = scenario
 
-    def gains(self, beta: np.ndarray) -> tuple[float, float]:
-        h1 = self.h_los + float(beta.dot(self.hr))
-        h2 = self.ht_sum - float(beta.dot(self.ht))
-        return h1, h2
+    def received(self, beta: np.ndarray) -> tuple[float, float]:
+        """Received amplitudes (g1, g2) = (a1 * H1, a2 * H2) at `beta`."""
+        return (self.a1 * (self.h_los + float(beta.dot(self.hr))),
+                self.a2 * (self.ht_sum - float(beta.dot(self.ht))))
 
     def terms(self, beta: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
         """Signal terms (A1, A2) and interference-norm squares (V1^2, V2^2)."""
-        h1, h2 = self.gains(beta)
-        g1 = self.a1 * h1
-        g2 = self.a2 * h2
+        g1, g2 = self.received(beta)
         if self.sic:
             return (g1 / self.sigma, g2), (1.0, g1 * g1 + self.sigma2)
         return (g1, g2), (g2 * g2 + self.sigma2, g1 * g1 + self.sigma2)
 
     def user_values(self, beta: np.ndarray, theta):
         """Per user k, (value, dvalue/dg1, dvalue/dg2) of 0.5 * log2(1 + c * u_k),
-        where g_k = rho * p_k * H_k; all three are 0 where u_k <= 0."""
-        g1 = self.a1 * (self.h_los + float(beta.dot(self.hr)))
-        g2 = self.a2 * (self.ht_sum - float(beta.dot(self.ht)))
+        where g_k = rho * p_k * H_k from `received`; all three are 0 where u_k <= 0."""
+        g1, g2 = self.received(beta)
         t1, t2 = theta
         if self.sic:  # A1 = g1 / sigma, V1^2 = 1
             u1 = 2.0 * t1 * (g1 / self.sigma) - t1 * t1
@@ -217,10 +213,10 @@ def check_float_range(channels: ChannelSet, scenario: Scenario) -> None:
     and slope `user_values` forms, `grad` each gradient entry (a_k |h_i| <=
     g); `_pga` scales a gradient by at most 1e12 or sums N products of
     them, and 1e3 covers the constant factors."""
-    rho, sigma2 = scenario.front_end.responsivity, scenario.noise_variance
+    (a1, a2), sigma2 = scenario.amplitudes, scenario.noise_variance
     sigma = math.sqrt(sigma2)
-    g = max(rho * scenario.p1 * (abs(channels.h_los) + float(np.abs(channels.h_reflect).sum())),
-            rho * scenario.p2 * float(np.abs(channels.h_transmit).sum()))
+    g = max(a1 * (abs(channels.h_los) + float(np.abs(channels.h_reflect).sum())),
+            a2 * float(np.abs(channels.h_transmit).sum()))
     t = max(SETTINGS.theta_init, 1.0, g / sigma, g / sigma2)
     term = t * t * (g * g + sigma2 + 1.0) * (1.0 + 1.0 / sigma)
     grad = RATE_SINR_SCALE * term * (g + 1.0)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -661,3 +662,11 @@ class TestVersion:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
         assert out.stdout.strip() == "False"
+
+
+def test_all_names_every_public_name():
+    """`starvlc.__all__` holds exactly the package's public names, its
+    submodules aside."""
+    public = [name for name, value in vars(starvlc).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(starvlc.__all__) == sorted(public)

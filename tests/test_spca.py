@@ -25,7 +25,7 @@ from starvlc import (
     vertex_enumerate,
 )
 from starvlc import spca
-from starvlc.link import RATE_SINR_SCALE
+from starvlc.link import RATE_SINR_SCALE, _sinrs
 from starvlc.spca import _ReducedProblem
 from util import random_scenario, reference_scenario
 
@@ -45,9 +45,7 @@ def reference_user_values_grads(prob, beta, theta):
     """Per-user reduced values and (2, N) gradients w.r.t. beta, each built
     element by element from dA/dbeta and dV^2/dbeta: the vectorised
     reference for the scalar derivatives in `_ReducedProblem`."""
-    h1, h2 = prob.gains(beta)
-    g1 = prob.a1 * h1
-    g2 = prob.a2 * h2
+    g1, g2 = prob.received(beta)
     dg1 = prob.a1 * prob.hr  # dH1/dbeta = hr, dH2/dbeta = -ht
     dg2 = -prob.a2 * prob.ht
     if prob.scheme is DetectorScheme.SIC:
@@ -410,14 +408,6 @@ class TestSpca:
             assert last.objective == reduced_objective(result.beta, last.state.theta,
                                                        ch, sc, scheme)[0]
 
-    def test_default_scenario_fast_convergence(self):
-        sc = reference_scenario()
-        ch = channel_set(sc)
-        sic = spca_optimize(ch, sc, DetectorScheme.SIC)
-        sud = spca_optimize(ch, sc, DetectorScheme.SUD)
-        assert sic.converged and sic.iterations <= 6
-        assert sud.converged and sud.iterations <= 8
-
     def test_beta_stays_in_box(self):
         sc, ch = small_setup(seed=6, rows=3, cols=4)
         result = spca_optimize(ch, sc, DetectorScheme.SIC)
@@ -444,13 +434,14 @@ class TestSpca:
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
     def test_every_solver_returns_an_spca_result(self, scheme):
         """One record for all four solvers: only time-sharing sets `alpha`,
-        to a weight endpoint."""
+        to a weight endpoint, and it always converges."""
         sc, ch = small_setup(seed=8)
         for solve in SOLVERS:
             result = solve(ch, sc, scheme)
             assert isinstance(result, spca.SpcaResult)
             if solve is time_sharing_optimize:
                 assert result.alpha in (0.0, 1.0)
+                assert result.converged
             else:
                 assert result.alpha is None
 
@@ -1103,13 +1094,6 @@ class TestDeadElements:
 
 
 class TestTimeSharing:
-    def test_alpha_is_endpoint(self):
-        sc, ch = small_setup(seed=8)
-        for scheme in DetectorScheme:
-            res = time_sharing_optimize(ch, sc, scheme)
-            assert res.alpha in (0.0, 1.0)
-            assert res.converged
-
     def test_value_is_best_single_user_rate(self):
         # The winning weighted rate must beat serving either user with any
         # binary vertex assignment.
@@ -1225,7 +1209,123 @@ class TestServedRates:
             (0.0, 0.0, 0.0, None)
 
 
+def chain_order(channels):
+    """The live elements in the walk's order: by generator angle, stably."""
+    hr, ht = channels.h_reflect, channels.h_transmit
+    live = np.flatnonzero(~channels.dead)
+    return live[np.argsort(np.arctan2(ht[live], hr[live]), kind="stable")]
+
+
+def chain_beta(channels, order, k, s=0.0):
+    """`beta` at chain vertex k (dead and the first k live elements at 1),
+    moved by s along edge k (element order[k] at s)."""
+    beta = np.where(channels.dead, 1.0, 0.0)
+    beta[order[:k]] = 1.0
+    if s:
+        beta[order[k]] = s
+    return beta
+
+
+def chain_crossing(channels, scenario, scheme):
+    """Reference exact max-min over the box -> (beta, rates, crossing).
+
+    By the radial fact (`oracle`'s docstring) the optimum lies on the outer
+    chain, along which SINR1 never falls and SINR2 never rises. Prefix sums
+    from beta = 0 give the vertex gains. The first vertex with SINR1 >= SINR2
+    closes the crossing edge, which is bisected to the last float;
+    `crossing` is False when the sign never changes, and then the better end
+    of the chain wins."""
+    hr, ht = channels.h_reflect, channels.h_transmit
+    order = chain_order(channels)
+    h1 = channels.h_los + np.concatenate(([0.0], np.cumsum(hr[order])))
+    h2 = float(ht.sum()) - np.concatenate(([0.0], np.cumsum(ht[order])))
+    (a1, a2), sic = scenario.amplitudes, scheme is DetectorScheme.SIC
+
+    def sinrs(g1, g2):
+        return _sinrs((a1 * g1) ** 2, (a2 * g2) ** 2, scenario.noise_variance, sic)
+
+    def best(*betas):
+        pairs = [(beta, rate_pair(channels, beta, scenario, scheme)) for beta in betas]
+        return max(pairs, key=lambda pair: min(pair[1].r1, pair[1].r2))
+
+    sinr1, sinr2 = sinrs(h1, h2)
+    k = int(np.argmax(sinr1 >= sinr2)) - 1  # the crossing edge, -1 if none
+    if k < 0:
+        return *best(chain_beta(channels, order, 0), chain_beta(channels, order, order.size)), False
+    i = order[k]
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        t1, t2 = sinrs(h1[k] + mid * hr[i], h2[k] - mid * ht[i])
+        lo, hi = (lo, mid) if t1 >= t2 else (mid, hi)
+    return *best(chain_beta(channels, order, k, lo), chain_beta(channels, order, k, hi)), True
+
+
+def min_rates(channels, scenario, scheme, betas):
+    """min(R1, R2) at each row of `betas`, in array arithmetic."""
+    h1 = channels.h_los + betas @ channels.h_reflect
+    h2 = (1.0 - betas) @ channels.h_transmit
+    a1, a2 = scenario.amplitudes
+    sinr1, sinr2 = _sinrs((a1 * h1) ** 2, (a2 * h2) ** 2, scenario.noise_variance,
+                          scheme is DetectorScheme.SIC)
+    return 0.5 * np.log2(1.0 + RATE_SINR_SCALE * np.minimum(sinr1, sinr2))
+
+
 class TestMaxMin:
+    @settings(max_examples=100, deadline=None)
+    @given(grid_panels())
+    def test_chain_crossing_is_the_max_min_optimum(self, case):
+        """The reference's min rate is at least that of a 201-point scan of
+        every chain edge and of 1000 random box points (within 1e-12), and
+        the two rates agree at an interior crossing."""
+        ch, sc = case
+        order = chain_order(ch)
+        grid = np.linspace(0.0, 1.0, 201)
+        scan = [chain_beta(ch, order, 0)[None, :]]
+        for k, i in enumerate(order):
+            edge = np.tile(chain_beta(ch, order, k), (grid.size, 1))
+            edge[:, i] = grid
+            scan.append(edge)
+        scan.append(np.random.default_rng(0).uniform(size=(1000, ch.element_count)))
+        scan = np.vstack(scan)
+        for scheme in DetectorScheme:
+            _beta, rates, crossing = chain_crossing(ch, sc, scheme)
+            best = min(rates.r1, rates.r2)
+            assert best >= min_rates(ch, sc, scheme, scan).max() - 1e-12
+            if crossing:
+                assert abs(rates.r1 - rates.r2) <= 1e-9 * rates.r1
+
+    @pytest.mark.parametrize("scheme", list(DetectorScheme))
+    def test_max_min_never_beats_the_chain_crossing(self, scheme):
+        """On ten seeded room panels: the subgradient max-min runs for
+        seconds on many `grid_panels` draws, and for over 20 s on some."""
+        for seed in range(10):
+            sc, ch = small_setup(seed=seed)
+            _beta, exact, _crossing = chain_crossing(ch, sc, scheme)
+            mm = max_min_optimize(ch, sc, scheme).rates
+            assert min(mm.r1, mm.r2) <= min(exact.r1, exact.r2) + 1e-12
+
+    def test_chain_crossing_on_the_default_scenario(self):
+        """The exact min-rates of the default panel, inside the chain."""
+        sc = reference_scenario()
+        ch = channel_set(sc)
+        for scheme, exact in ((DetectorScheme.SIC, 1.152894547292769),
+                              (DetectorScheme.SUD, 0.25198004773579485)):
+            _beta, rates, crossing = chain_crossing(ch, sc, scheme)
+            assert crossing
+            assert min(rates.r1, rates.r2) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("scheme", [pytest.param(scheme, marks=pytest.mark.xfail(
+        strict=True, reason="the subgradient max-min stops short of the chain crossing"))
+        for scheme in DetectorScheme])
+    def test_max_min_reaches_the_chain_crossing(self, scheme):
+        """On the default panel max-min SPCA reads 1.143664 (SIC) and
+        0.251711 (SUD) against the exact 1.152895 and 0.251980."""
+        sc = reference_scenario()
+        ch = channel_set(sc)
+        _beta, exact, _crossing = chain_crossing(ch, sc, scheme)
+        mm = max_min_optimize(ch, sc, scheme).rates
+        assert min(mm.r1, mm.r2) >= min(exact.r1, exact.r2) - 1e-9
+
     def test_min_rate_not_below_other_solvers(self):
         sc, ch = small_setup(seed=12, rows=2, cols=4)
         for scheme in DetectorScheme:
