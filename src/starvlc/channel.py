@@ -156,9 +156,12 @@ def _los_gain(scenario: Scenario, m: float, factor: float) -> float:
 def _relay_gains(scenario: Scenario, elements: np.ndarray, m: float,
                  factor: float) -> list[np.ndarray]:
     """Vectorized relayed gains per element, UE1's (reflect) and UE2's
-    (transmit); the AP side is computed once for both."""
+    (transmit); the AP side is computed once for both. Each point -> element
+    offset loops over the element axis innermost (`order="F"`) into a C-ordered
+    buffer for `@`; each entry is one subtraction in any order, so no bit moves."""
     points = (scenario.ap, scenario.ue1, scenario.ue2)
-    offsets = [elements - p.position for p in points]  # point -> element
+    offsets = [np.subtract(elements, p.position, out=np.empty(elements.shape), order="F")
+               for p in points]
     dists = []
     for v in offsets:
         sq = v * v

@@ -142,13 +142,14 @@ def build_ris_grid(panel: RisPanel) -> np.ndarray:
 
     Within a row the column coordinate increases; across rows the row
     coordinate increases (increasing y then z for the default +x normal).
+    Each is (center + row offset) + column offset, one `np.add` of (rows, 3)
+    and (cols, 3) parts looping over a panel axis innermost (`order="F"`) into
+    a C-ordered buffer: the same two sums per entry, so no bit moves.
     """
     col_axis, row_axis = panel_axes(panel)
     col_off = (np.arange(panel.cols) - (panel.cols - 1) / 2.0) * panel.pitch
     row_off = (np.arange(panel.rows) - (panel.rows - 1) / 2.0) * panel.pitch
-    pts = (
-        panel.center[None, None, :]
-        + row_off[:, None, None] * row_axis[None, None, :]
-        + col_off[None, :, None] * col_axis[None, None, :]
-    )
+    rows = panel.center + row_off[:, None] * row_axis
+    pts = np.empty((panel.rows, panel.cols, 3))
+    np.add(rows[:, None, :], col_off[:, None] * col_axis, out=pts, order="F")
     return pts.reshape(panel.rows * panel.cols, 3)

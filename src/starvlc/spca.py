@@ -33,8 +33,8 @@ one `terms` call: the auxiliaries are recovered as v_k = sqrt(V_k^2) and
 u_k = (A_k / v_k)^2, the exact SINR, whose rates give the trace's sum-rate,
 and theta_k = sqrt(u_k) / v_k. V_k^2 >= min(1, sigma^2) > 0, so v_k > 0;
 a user keeps its previous theta_k where u_k = 0 (a dead channel) or
-v_k < 1e-30. theta, u and v are float pairs; a result's `iterations` is its
-trace's length. A multistart's start stops on meeting an earlier one.
+v_k < 1e-30. theta, u and v are named floats (pairs in a trace entry); a result's
+`iterations` is its trace's length. A multistart's start stops on meeting an earlier one.
 
 Every solver runs with one fixed set of settings, `SETTINGS`; none takes
 settings as an argument.
@@ -56,6 +56,7 @@ from .link import (
     pair_from_rates,
     rate,
     rate_pair,
+    rates_from_gains,
     sum_rate,
 )
 from .oracle import vertex_enumerate
@@ -335,34 +336,34 @@ def solve_subproblem(theta, channels: ChannelSet, scenario: Scenario,
 
 def _spca_loop(prob: _ReducedProblem, objective, beta0: float, seen: set) -> SpcaResult | None:
     """The outer loop from `beta0`; None at a state (m, theta, beta) in `seen`."""
-    theta = (SETTINGS.theta_init,) * 2
+    t1 = t2 = SETTINGS.theta_init
     tolerance = SETTINGS.tolerance
     beta = _start(prob, beta0)
     trace: list[TraceEntry] = []
     converged = False
     inner_ok = True
     for m in range(SETTINGS.max_outer_iterations):
-        state = (m, theta, beta.tobytes())
+        state = (m, t1, t2, beta.tobytes())
         if state in seen:
             return None
         seen.add(state)
         prev_beta = beta
-        beta, value, ok = _pga(prob, objective, theta, prev_beta)
+        beta, value, ok = _pga(prob, objective, (t1, t2), prev_beta)
         inner_ok = inner_ok and ok
         (a1, a2), (w1, w2) = prob.terms(beta)
-        v = (math.sqrt(w1), math.sqrt(w2))
-        q1, q2 = a1 / v[0], a2 / v[1]
-        u = (q1 * q1, q2 * q2)
-        trace.append(TraceEntry(value, rate(u[0]) + rate(u[1]), SurrogateState(theta, u, v)))
-        uv = u + v
+        v1, v2 = math.sqrt(w1), math.sqrt(w2)
+        q1, q2 = a1 / v1, a2 / v2
+        u1, u2 = q1 * q1, q2 * q2
+        surrogate = SurrogateState((t1, t2), (u1, u2), (v1, v2))
+        trace.append(TraceEntry(value, rate(u1) + rate(u2), surrogate))
         # the beta move is formed only when the u and v moves pass
-        if (len(trace) > 1 and max(abs(now - was) for now, was in zip(uv, prev_uv)) < tolerance
+        if (m and max(abs(u1 - pu1), abs(u2 - pu2), abs(v1 - pv1), abs(v2 - pv2)) < tolerance
                 and np.abs(beta - prev_beta).max(initial=0.0) < tolerance):
             converged = True
             break
-        prev_uv = uv
-        theta = tuple(t if uk <= 0.0 or vk < 1e-30 else math.sqrt(uk) / vk
-                      for t, uk, vk in zip(theta, u, v))
+        pu1, pu2, pv1, pv2 = u1, u2, v1, v2
+        t1 = t1 if u1 <= 0.0 or v1 < 1e-30 else math.sqrt(u1) / v1
+        t2 = t2 if u2 <= 0.0 or v2 < 1e-30 else math.sqrt(u2) / v2
     rates = rate_pair(prob.channels, beta, prob.scenario, prob.scheme)
     return SpcaResult(beta=beta, rates=rates, trace=trace, converged=converged and inner_ok)
 
@@ -417,11 +418,16 @@ def time_sharing_optimize(channels: ChannelSet, scenario: Scenario,
     each a vertex in closed form. A user's rate rises with its own effective
     gain and falls with the other's (user 1's under SIC ignores it): beta = 1
     maximises H1 and sets H2 to 0; beta = 0 maximises H2 and leaves H1 at
-    h_los (dead elements stay at 1). No iteration runs.
+    h_los (dead elements stay at 1). No iteration runs. The vertex gains are
+    (h_los + ones.h_reflect, 0) and (h_los, (1 - beta2).h_transmit): the two
+    dot products `rate_pair` adds are sums of zeros (gains are finite, >= 0,
+    and 0 where beta2 is 1), squared in the SINR, so its rates are bitwise.
     """
-    beta1 = np.ones(channels.element_count)
+    h_los, hr, ht = channels.h_los, channels.h_reflect, channels.h_transmit
+    beta1 = np.ones(hr.size)
     beta2 = np.where(channels.dead, 1.0, 0.0)
-    rates1, rates2 = (rate_pair(channels, b, scenario, scheme) for b in (beta1, beta2))
+    rates1 = rates_from_gains(h_los + float(beta1.dot(hr)), 0.0, scenario, scheme)
+    rates2 = rates_from_gains(h_los, float((1.0 - beta2).dot(ht)), scenario, scheme)
     beta, rates, alpha = (beta1, rates1, 1.0) if rates1.r1 >= rates2.r2 else (beta2, rates2, 0.0)
     return SpcaResult(beta, rates, trace=[], converged=True, alpha=alpha)
 

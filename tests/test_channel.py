@@ -398,6 +398,32 @@ class TestOnePassBuild:
         ch = assert_same_channels(replace(sc, panel=replace(sc.panel, cols=0)))
         assert ch.element_count == 0
 
+    @pytest.mark.parametrize("turn_deg, tilt_deg, half_angle_deg",
+                             [(0.0, 0.0, 60.0), (30.0, 10.0, 40.0)])
+    @pytest.mark.parametrize("fov_deg", [85.0, 20.0])
+    @pytest.mark.parametrize("rows, cols", [(20, 16), (40, 32)])
+    def test_benchmark_panel_sizes(self, rows, cols, fov_deg, turn_deg, tilt_deg,
+                                   half_angle_deg):
+        """The 20 x 16 and 40 x 32 panels at 0.1 m pitch, where the offsets
+        and the grid loop over hundreds of elements and `** m` may take a
+        vectorised loop: the default wall (m = 1) and the wall turned by 30
+        degrees about z and tilted by 10, where both grid sums round (m
+        fractional). Rows below the UEs are dead at any FOV; at 20 degrees
+        more are, outside it."""
+        sc = reference_scenario()
+        turn, tilt = math.radians(turn_deg), math.radians(tilt_deg)
+        normal = np.array([math.cos(turn) * math.cos(tilt), math.sin(turn) * math.cos(tilt),
+                           math.sin(tilt)])
+        sc = replace(sc, panel=replace(sc.panel, rows=rows, cols=cols, pitch=0.1, normal=normal),
+                     front_end=replace(sc.front_end, fov_deg=fov_deg),
+                     source=LambertianSource(half_angle_deg))
+        ch = assert_same_channels(sc)
+        assert ch.element_count == rows * cols
+        assert np.any(ch.dead) and np.any(ch.h_reflect > 0.0) and np.any(ch.h_transmit > 0.0)
+        if fov_deg == 20.0:
+            wide = channel_set(replace(sc, front_end=replace(sc.front_end, fov_deg=85.0)))
+            assert ch.dead.sum() > wide.dead.sum()
+
     @pytest.mark.parametrize("point", ["ap", "ue1", "ue2"])
     def test_a_point_on_an_element_raises_with_no_warning(self, point):
         """A UE or the AP on element 4 of a 2 x 3 panel is rejected before

@@ -1170,6 +1170,37 @@ class TestTimeSharing:
         assert res.rates.r2 == 0.0
         assert res.rates.sum == res.rates.r1
 
+    @staticmethod
+    def assert_rates_are_rate_pair_at_beta(ch, sc):
+        """Under both schemes the rates formed from the vertex gains equal
+        `rate_pair` at the returned beta on all four fields, and beta is
+        bitwise all ones (alpha = 1) or 1 exactly at the dead elements."""
+        n = ch.element_count
+        for scheme in DetectorScheme:
+            res = time_sharing_optimize(ch, sc, scheme)
+            expected = rate_pair(ch, res.beta, sc, scheme)
+            assert (res.rates.r1, res.rates.r2, res.rates.sum, res.rates.energy_efficiency) == \
+                (expected.r1, expected.r2, expected.sum, expected.energy_efficiency)
+            vertex = np.ones(n) if res.alpha == 1.0 else np.where(ch.dead, 1.0, 0.0)
+            assert res.beta.tobytes() == vertex.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_panels())
+    def test_rates_are_rate_pair_at_beta(self, case):
+        """On panels with dead and parallel elements and h_los = 0 drawn."""
+        self.assert_rates_are_rate_pair_at_beta(*case)
+
+    @pytest.mark.parametrize("h_los", [0.0, -0.0, 3 * 10.0 * 2.0 ** -24])
+    @pytest.mark.parametrize("gains", [[], [0.0] * 4, [-0.0, 0.0, -0.0, -0.0]],
+                             ids=["empty", "all-dead", "all-dead-signed-zeros"])
+    def test_rates_are_rate_pair_at_beta_on_empty_and_dead_panels(self, gains, h_los):
+        """An empty panel and all-dead ones (also with -0.0 gains, which pass
+        `ChannelSet`'s check), where the dropped dot products are all of H."""
+        sc = reference_scenario()
+        sc = replace(sc, panel=replace(sc.panel, rows=1, cols=len(gains)))
+        ch = ChannelSet(h_los=h_los, h_reflect=gains, h_transmit=gains[::-1])
+        self.assert_rates_are_rate_pair_at_beta(ch, sc)
+
 
 class TestServedRates:
     @pytest.mark.parametrize("scheme", list(DetectorScheme))
